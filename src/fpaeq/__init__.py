@@ -27,6 +27,7 @@ from .model import (
     multiplicity,
     rat,
     validate_instance,
+    validate_profile,
     validate_strategy,
 )
 from .engine import (
@@ -76,6 +77,7 @@ __all__ = [
     "utility_dfpa",
     "utility_dfpa_symmetric",
     "validate_instance",
+    "validate_profile",
     "validate_strategy",
     "verify_mbne",
     "verify_pbne",

@@ -31,6 +31,7 @@ from .model import (
     Profile,
     rat,
     validate_instance,
+    validate_profile,
     validate_strategy,
 )
 from .serialize import (
@@ -86,13 +87,19 @@ def _load_instance(path: str) -> Auction:
     return auction
 
 
-def _load_profile(path: str) -> Profile:
+def _load_profile(path: str, auction: Auction | None = None) -> Profile:
+    """Load a profile; with ``auction``, reject one that does not fit it."""
     try:
-        return load_profile(path)
+        profile = load_profile(path)
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
     except (FormatError, json.JSONDecodeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, "parse", f"{path}: {exc}")
+    if auction is not None:
+        report = validate_profile(profile, auction)
+        if not report.ok:
+            raise CliError(EXIT_VALIDATION, "validation", "; ".join(report.violations))
+    return profile
 
 
 def _read_text(path: str) -> str:
@@ -175,7 +182,7 @@ def cmd_marginal(args) -> int:
 
 def cmd_utility(args) -> int:
     auction = _load_instance(args.instance)
-    profile = _load_profile(args.profile)
+    profile = _load_profile(args.profile, auction)
     u = engine.utility(
         auction, args.bidder, args.value, args.bid, profile, raw=args.raw
     )
@@ -185,7 +192,7 @@ def cmd_utility(args) -> int:
 
 def cmd_best_response(args) -> int:
     auction = _load_instance(args.instance)
-    profile = _load_profile(args.profile)
+    profile = _load_profile(args.profile, auction)
     rep = engine.best_response(
         auction, args.bidder, args.value, profile, no_overbidding=not args.allow_overbid
     )
@@ -202,24 +209,13 @@ def cmd_best_response(args) -> int:
     return EXIT_OK
 
 
-def _thread_count() -> int:
-    import os
-
-    try:
-        return max(1, int(os.environ.get("FPAEQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_verify(args) -> int:
     auction = _load_instance(args.instance)
-    profile = _load_profile(args.profile)
-    mixed = any(isinstance(s, MixedStrategy) for s in profile.strategies)
-    threads = _thread_count()
-    if mixed:
-        report = engine.verify_mbne(auction, profile, args.eps, threads=threads)
+    profile = _load_profile(args.profile, auction)
+    if any(isinstance(s, MixedStrategy) for s in profile.strategies):
+        report = engine.verify_mbne(auction, profile, args.eps)
     else:
-        report = engine.verify_pbne(auction, profile, args.eps, threads=threads)
+        report = engine.verify_pbne(auction, profile, args.eps)
     print(dumps(_violations_doc(report)), end="")
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 

@@ -1,11 +1,30 @@
 """Exact interim utilities, best responses and equilibrium verification.
 
-Winning probabilities are computed through the tie-counting dynamic program:
-``T[r]`` is the probability that exactly r opponents bid exactly b while all
-the others bid strictly below, built up one opponent at a time from the
-per-opponent masses (g = ties b, G = strictly below b).  With uniform
-tie-breaking the win probability is ``sum_r T[r] / (r+1)``, including the
-all-zero tie at b = 0.
+Every utility comes from the tie-counting dynamic program: ``T[r]`` is the
+probability that exactly r opponents bid exactly b while all the others bid
+strictly below, built up one opponent at a time from the per-opponent masses
+(g = ties b, G = strictly below b).  With uniform tie-breaking the win
+probability is ``sum_r T[r] / (r+1)``, including the all-zero tie at b = 0.
+:func:`tie_dp` and :func:`win_from_ties` are that DP in its plain form.
+
+The fast path computes the win-mass vector ``f_i(v) * H(b)`` for every bid
+at once, in three pieces:
+
+* scenarios -- one generator per prior kind (explicit discrete, group-succinct
+  discrete with its arrangement counts, boxes, grouped boxes) yields, for
+  bidder i at value v, ``f_i(v)`` and the ``(mass, opponents)`` of every
+  conditional scenario; an opponent is a (seat, value) or (seat, interval)
+  pair.  Discrete supports are indexed by (bidder, own value) once per prior.
+* bid table -- per profile, each opponent's tie mass g and strictly-below
+  mass G for every bid, built on first use and shared by all scenarios.
+* kernel -- one pass over the scenarios for all bids.  It skips opponents
+  surely below (G = 1), counts those surely tying (g = 1) without the DP, and
+  drops the scenario as soon as one opponent is surely above (g = G = 0).
+
+Utilities, best responses, verification and the search's candidate check
+all read that vector.  Verification is one deviation loop per (bidder,
+value) -- per cell for CFPA -- that ``verify_pbne`` runs to the end and
+``is_pbne`` stops at the first violation.
 
 Utilities come in two normalizations:
 
@@ -19,9 +38,10 @@ Utilities come in two normalizations:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from math import factorial
 from typing import Sequence, Union
 
@@ -37,8 +57,10 @@ from .model import (
     Profile,
     PureStrategy,
     SymmetricDiscretePrior,
+    group_blocks,
     marginal_mass,
     rat,
+    support_values,
 )
 
 BidOrMix = Union[Fraction, dict]
@@ -112,11 +134,8 @@ def _mixed_row(strategy, value: Fraction) -> dict[Fraction, Fraction]:
     raise TypeError(f"need a pure or mixed strategy, got {type(strategy).__name__}")
 
 
-@lru_cache(maxsize=None)
 def _expanded(prior: SymmetricDiscretePrior) -> DiscretePrior:
-    from .model import expand_symmetric
-
-    return expand_symmetric(prior)
+    return prior.expanded
 
 
 def _arrangements(block: tuple) -> int:
@@ -128,44 +147,265 @@ def _arrangements(block: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# DFPA utilities
+# scenarios: f_i(v) and the (mass, opponents) of every conditional scenario
 # ---------------------------------------------------------------------------
 
-def _dfpa_raw_win_mass(
-    prior: DiscretePrior, i: int, v: Fraction, b: Fraction, opponents: Profile
-) -> Fraction:
-    """sum over the joint of f(v, v_-i) * P(win with bid b); interim H times f_i(v)."""
-    acc = ZERO
-    for tup, m in prior.support:
-        if tup[i] != v:
-            continue
-        gs, Gs = [], []
-        for j in range(prior.n):
-            if j == i:
-                continue
-            row = _mixed_row(opponents.for_bidder(j), tup[j])
-            g = row.get(b, ZERO)
-            G = sum((w for bb, w in row.items() if bb < b), ZERO)
-            if g == 0 and G == 1:
-                continue  # surely strictly below: identity factor in the DP
-            gs.append(g)
-            Gs.append(G)
-        acc += m * win_from_ties(tie_dp(gs, Gs))
-    return acc
+def _discrete_scenarios(prior: DiscretePrior, i: int, v: Fraction):
+    """Support points with v_i = v; opponents are (bidder, value)."""
+    scenarios = [
+        (m, tuple((j, x) for j, x in enumerate(tup) if j != i))
+        for tup, m in prior.support_by_value.get((i, v), ())
+    ]
+    return marginal_mass(prior, i, v), scenarios
 
+
+def _group_scenarios(prior: SymmetricDiscretePrior, i: int, v: Fraction):
+    """Canonical tuples holding v in bidder i's group; opponents are
+    (group, value)."""
+    k = prior.group_of(i)
+    fi = ZERO
+    scenarios = []
+    for tup, p in prior.rep_support:
+        blocks = group_blocks(tup, prior.groups)
+        if v in blocks[k]:
+            cnt, opponents = _others(blocks, k, v)
+            fi += p * cnt
+            scenarios.append((p * cnt, opponents))
+    return fi, scenarios
+
+
+def _others(blocks: list, k: int, own):
+    """Take one ``own`` out of block k.  Returns the number of group-valid
+    permutations that place ``own`` at one fixed slot of group k (the
+    arrangement number of the remaining multisets, blockwise) and the
+    remaining entries as (group, entry)."""
+    rest = list(blocks)
+    reduced = list(rest[k])
+    reduced.remove(own)
+    rest[k] = tuple(reduced)
+    cnt = 1
+    for block in rest:
+        cnt *= _arrangements(block)
+    return cnt, tuple((g, x) for g, block in enumerate(rest) for x in block)
+
+
+def _box_scenarios(prior: BoxDensity, i: int, v: Fraction):
+    """Expanded boxes whose i-th edge holds v.  Within a box the opponents'
+    values are independent and uniform per coordinate; opponents are
+    (bidder, interval).  Boxes flat in an opponent coordinate carry no mass."""
+    fi = ZERO
+    scenarios = []
+    for lo, hi, w in prior.expanded_boxes:
+        if not lo[i] <= v <= hi[i]:
+            continue
+        opponents = tuple((j, (lo[j], hi[j])) for j in range(prior.n) if j != i)
+        mass = _box_mass(w, opponents)
+        if mass is not None:
+            fi += mass
+            scenarios.append((mass, opponents))
+    return fi, scenarios
+
+
+def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
+    """Canonical boxes with each distinct interval of bidder i's group that
+    holds v; opponents are (group, interval)."""
+    k = next((g for g, members in enumerate(prior.groups) if i in members), None)
+    if k is None:
+        raise IndexError(f"bidder {i} not in any group")
+    fi = ZERO
+    scenarios = []
+    for lo, hi, w in prior.boxes:
+        blocks = group_blocks(tuple(zip(lo, hi)), prior.groups)
+        for own in sorted(set(blocks[k])):
+            if own[0] <= v <= own[1]:
+                cnt, opponents = _others(blocks, k, own)
+                mass = _box_mass(w * cnt, opponents)
+                if mass is not None:
+                    fi += mass
+                    scenarios.append((mass, opponents))
+    return fi, scenarios
+
+
+def _box_mass(weight: Fraction, opponents) -> Fraction | None:
+    """weight times the opponents' edge lengths; None for a flat box."""
+    for _, (a, c) in opponents:
+        if c == a:
+            return None
+        weight *= c - a
+    return weight
+
+
+# ---------------------------------------------------------------------------
+# bid table: each opponent's (g, G) for every bid
+# ---------------------------------------------------------------------------
+
+_BELOW, _TIE, _ABOVE, _SPLIT = range(4)
+
+
+def _kind(g: Fraction, G: Fraction) -> int:
+    if g == 0:
+        if G == 1:
+            return _BELOW
+        if G == 0:
+            return _ABOVE
+    elif g == 1 and G == 0:
+        return _TIE
+    return _SPLIT
+
+
+class _BidTable(dict):
+    """(seat, point) -> (kinds, gs, Gs) over the bids, computed on first
+    lookup; ``kinds[k]`` says which shortcut, if any, applies at bid k."""
+
+    def __init__(self, masses):
+        super().__init__()
+        self._masses = masses  # (seat, point) -> (gs, Gs)
+
+    def __missing__(self, key):
+        gs, Gs = self._masses(*key)
+        row = self[key] = (bytes(map(_kind, gs, Gs)), gs, Gs)
+        return row
+
+
+def _discrete_masses(seat, bids, s, value: Fraction):
+    """Tie and strictly-below masses of seat s's row at ``value``, per bid."""
+    row = _mixed_row(seat(s), value)
+    gs = [row.get(b, ZERO) for b in bids]
+    Gs = [sum((w for bb, w in row.items() if bb < b), ZERO) for b in bids]
+    return gs, Gs
+
+
+def _jump_masses(seat, positions, s, interval):
+    """Tie and strictly-below length fractions of the interval, per bid."""
+    strategy = seat(s)
+    if not isinstance(strategy, JumpStrategy):
+        raise TypeError("CFPA opponents must play jump strategies")
+    lo, hi = interval
+    length = hi - lo
+    gs = [strategy.mass_at_bid(jb, lo, hi) / length for jb in positions]
+    Gs = [strategy.mass_below_bid(jb, lo, hi) / length for jb in positions]
+    return gs, Gs
+
+
+# ---------------------------------------------------------------------------
+# kernel
+# ---------------------------------------------------------------------------
+
+def _win_masses(scenarios, table: _BidTable, nbids: int) -> list[Fraction]:
+    """sum over scenarios of mass * P(win with bid k), for every bid k."""
+    H = [ZERO] * nbids
+    for mass, opponents in scenarios:
+        rows = [table[o] for o in opponents]
+        for k in range(nbids):
+            ties = 0
+            gs, Gs = [], []
+            for kinds, g, G in rows:
+                kind = kinds[k]
+                if kind == _SPLIT:
+                    gs.append(g[k])
+                    Gs.append(G[k])
+                elif kind == _TIE:
+                    ties += 1
+                elif kind == _ABOVE:
+                    break
+            else:
+                if gs:
+                    T = tie_dp(gs, Gs)
+                    H[k] += mass * sum(
+                        (t / (r + ties + 1) for r, t in enumerate(T)), ZERO
+                    )
+                else:
+                    H[k] += mass / (ties + 1) if ties else mass
+    return H
+
+
+class _Game:
+    """An auction and a profile: the scenario generator of the prior's kind,
+    one bid table over ``bids`` and the kernel's vectors per (bidder, value).
+
+    ``succinct`` selects the group-succinct generators, which read the
+    profile's strategies per group; otherwise opponents are per bidder.
+    """
+
+    def __init__(self, auction: Auction, profile: Profile, succinct: bool, bids=None):
+        prior = auction.prior
+        self.bids = tuple(auction.bids if bids is None else bids)
+        self._memo: dict = {}
+        seat = profile.strategies.__getitem__ if succinct else profile.for_bidder
+        if auction.is_discrete:
+            if succinct:
+                self._scenarios = _group_scenarios
+            else:
+                prior = _expanded(prior) if isinstance(prior, SymmetricDiscretePrior) else prior
+                self._scenarios = _discrete_scenarios
+            self.pieces = None
+            masses = partial(_discrete_masses, seat, self.bids)
+        else:
+            if isinstance(prior, IIDMarginal):
+                prior = prior.as_box_density(auction.n)
+            if not isinstance(prior, BoxDensity):
+                raise TypeError(f"unsupported prior {type(prior).__name__}")
+            self._scenarios = _grouped_box_scenarios if succinct else _box_scenarios
+            # H is constant while v stays inside one piece of the axis cuts
+            self.pieces = [prior.axis_breakpoints(i) for i in range(prior.n)]
+            positions = [auction.bids.index(b) for b in self.bids]
+            masses = partial(_jump_masses, seat, positions)
+        self.prior = prior
+        self._table = _BidTable(masses)
+
+    def win_mass(self, i: int, v: Fraction):
+        """(f_i(v), [f_i(v) * H_i(b; v) for b in bids]); no vector when
+        f_i(v) = 0."""
+        if self.pieces is None:
+            key = (i, v)
+        else:
+            cuts = self.pieces[i]
+            key = (i, bisect_left(cuts, v), bisect_right(cuts, v))
+        if key not in self._memo:
+            fi, scenarios = self._scenarios(self.prior, i, v)
+            H = _win_masses(scenarios, self._table, len(self.bids)) if fi != 0 else None
+            self._memo[key] = fi, H
+        return self._memo[key]
+
+    def supported(self, i: int, v: Fraction):
+        fi, H = self.win_mass(i, v)
+        if fi == 0:
+            raise ValueError(f"value {v} outside marginal support of bidder {i}")
+        return fi, H
+
+    def utilities(self, i: int, v: Fraction, raw: bool) -> list[Fraction]:
+        """Utility of each pure bid."""
+        fi, H = self.supported(i, v)
+        out = [(v - b) * h for b, h in zip(self.bids, H)]
+        return out if raw else [u / fi for u in out]
+
+
+def _succinct(auction: Auction, profile: Profile) -> bool:
+    """Per-group profile on a grouped prior: use the succinct generators."""
+    return profile.groups is not None and getattr(auction.prior, "groups", None) is not None
+
+
+def _mix_utility(game: _Game, i: int, v: Fraction, mix: dict, raw: bool) -> Fraction:
+    fi, H = game.supported(i, v)
+    total = sum((w * (v - b) * h for (b, w), h in zip(mix.items(), H)), ZERO)
+    return total if raw else total / fi
+
+
+def _as_mix(bid: BidOrMix) -> dict:
+    mix = bid if isinstance(bid, dict) else {bid: ONE}
+    return {rat(b): w for b, w in mix.items() if w != 0}
+
+
+# ---------------------------------------------------------------------------
+# DFPA utilities
+# ---------------------------------------------------------------------------
 
 def win_prob_dfpa(
     auction: Auction, i: int, v: Fraction, b: Fraction, opponents: Profile
 ) -> Fraction:
     """Probability that bidder i wins with bid b, conditioned on value v."""
-    v, b = rat(v), rat(b)
-    prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = _expanded(prior)
-    fi = marginal_mass(prior, i, v)
-    if fi == 0:
-        raise ValueError(f"value {v} outside marginal support of bidder {i}")
-    return _dfpa_raw_win_mass(prior, i, v, b, opponents) / fi
+    fi, H = _Game(auction, opponents, False, [rat(b)]).supported(i, rat(v))
+    return H[0] / fi
 
 
 def utility_dfpa(
@@ -177,21 +417,8 @@ def utility_dfpa(
     raw: bool = False,
 ) -> Fraction:
     """Interim utility of bidding ``bid`` (a bid or a distribution over bids)."""
-    v = rat(v)
-    prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = _expanded(prior)
-    fi = marginal_mass(prior, i, v)
-    if fi == 0:
-        raise ValueError(f"value {v} outside marginal support of bidder {i}")
-    mix = bid if isinstance(bid, dict) else {rat(bid): ONE}
-    total = ZERO
-    for b, w in mix.items():
-        if w == 0:
-            continue
-        b = rat(b)
-        total += w * (v - b) * _dfpa_raw_win_mass(prior, i, v, b, opponents)
-    return total if raw else total / fi
+    mix = _as_mix(bid)
+    return _mix_utility(_Game(auction, opponents, False, mix), i, rat(v), mix, raw)
 
 
 def utility_dfpa_symmetric(
@@ -204,75 +431,19 @@ def utility_dfpa_symmetric(
 ) -> Fraction:
     """Succinct-representation utility; equals utility_dfpa on the expansion.
 
-    Requires a symmetric profile (one strategy per group).  Each canonical
-    tuple contributes once per distinct group-valid permutation that places
-    value v at bidder i's slot; that count is the arrangement number of the
-    remaining multiset, blockwise.
+    Requires a symmetric profile (one strategy per group).
     """
-    v = rat(v)
-    prior = auction.prior
-    if not isinstance(prior, SymmetricDiscretePrior):
+    if not isinstance(auction.prior, SymmetricDiscretePrior):
         raise TypeError("utility_dfpa_symmetric needs a SymmetricDiscretePrior")
     if profile.groups is None:
         raise ValueError("symmetric utility requires a per-group profile")
-    k = prior.group_of(i)
-    mix = bid if isinstance(bid, dict) else {rat(bid): ONE}
-
-    fi = ZERO
-    entries = []  # (count, opponent values per group as multisets)
-    for tup, p in prior.rep_support:
-        blocks = [tuple(tup[m] for m in g) for g in prior.groups]
-        if v not in blocks[k]:
-            continue
-        reduced = list(blocks[k])
-        reduced.remove(v)
-        cnt = _arrangements(tuple(reduced))
-        for g, block in enumerate(blocks):
-            if g != k:
-                cnt *= _arrangements(block)
-        fi += p * cnt
-        opp = []
-        for g, block in enumerate(blocks):
-            vals = reduced if g == k else list(block)
-            opp.extend((g, val) for val in vals)
-        entries.append((p * cnt, opp))
-    if fi == 0:
-        raise ValueError(f"value {v} outside marginal support of bidder {i}")
-
-    total = ZERO
-    for b, wmix in mix.items():
-        if wmix == 0:
-            continue
-        b = rat(b)
-        acc = ZERO
-        for mass, opp in entries:
-            gs, Gs = [], []
-            for g, val in opp:
-                row = _mixed_row(profile.strategies[g], val)
-                gg = row.get(b, ZERO)
-                GG = sum((w for bb, w in row.items() if bb < b), ZERO)
-                if gg == 0 and GG == 1:
-                    continue
-                gs.append(gg)
-                Gs.append(GG)
-            acc += mass * win_from_ties(tie_dp(gs, Gs))
-        total += wmix * (v - b) * acc
-    return total if raw else total / fi
+    mix = _as_mix(bid)
+    return _mix_utility(_Game(auction, profile, True, mix), i, rat(v), mix, raw)
 
 
 # ---------------------------------------------------------------------------
 # CFPA utilities
 # ---------------------------------------------------------------------------
-
-def _jump_masses(
-    strategy: JumpStrategy, jb: int, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """(tie, strictly-below) length fractions of [lo,hi] for bid index jb."""
-    length = hi - lo
-    g = strategy.mass_at_bid(jb, lo, hi) / length
-    G = strategy.mass_below_bid(jb, lo, hi) / length
-    return g, G
-
 
 def utility_cfpa(
     auction: Auction,
@@ -288,45 +459,10 @@ def utility_cfpa(
     and uniform per coordinate, so the tie DP runs on per-coordinate length
     fractions.
     """
-    v, b = rat(v), rat(b)
-    prior = auction.prior
-    if isinstance(prior, IIDMarginal):
-        prior = prior.as_box_density(auction.n)
-    if not isinstance(prior, BoxDensity):
+    if not isinstance(auction.prior, (BoxDensity, IIDMarginal)):
         raise TypeError("utility_cfpa needs a BoxDensity or IIDMarginal prior")
-    jb = auction.bids.index(b)
-
-    fi = ZERO
-    acc = ZERO
-    for lo, hi, w in prior.expanded_boxes:
-        if not lo[i] <= v <= hi[i]:
-            continue
-        mass = w
-        degenerate = False
-        for j in range(prior.n):
-            if j != i:
-                if hi[j] == lo[j]:
-                    degenerate = True
-                    break
-                mass *= hi[j] - lo[j]
-        if degenerate:
-            continue
-        fi += mass
-        gs, Gs = [], []
-        for j in range(prior.n):
-            if j == i:
-                continue
-            strat = opponents.for_bidder(j)
-            if not isinstance(strat, JumpStrategy):
-                raise TypeError("CFPA opponents must play jump strategies")
-            g, G = _jump_masses(strat, jb, lo[j], hi[j])
-            gs.append(g)
-            Gs.append(G)
-        acc += mass * win_from_ties(tie_dp(gs, Gs))
-    if fi == 0:
-        raise ValueError(f"value {v} outside marginal support of bidder {i}")
-    total = (v - b) * acc
-    return total if raw else total / fi
+    game = _Game(auction, opponents, False, [rat(b)])
+    return game.utilities(i, rat(v), raw)[0]
 
 
 def utility_cfpa_symmetric(
@@ -338,62 +474,13 @@ def utility_cfpa_symmetric(
     raw: bool = False,
 ) -> Fraction:
     """Succinct group-symmetric CFPA utility; equals the expanded computation."""
-    v, b = rat(v), rat(b)
     prior = auction.prior
     if not isinstance(prior, BoxDensity) or prior.groups is None:
         raise TypeError("utility_cfpa_symmetric needs a grouped BoxDensity")
     if profile.groups is None:
         raise ValueError("symmetric utility requires a per-group profile")
-    groups = prior.groups
-    k = None
-    for g, members in enumerate(groups):
-        if i in members:
-            k = g
-    if k is None:
-        raise IndexError(f"bidder {i} not in any group")
-    jb = auction.bids.index(b)
-
-    fi = ZERO
-    acc = ZERO
-    for lo, hi, w in prior.boxes:
-        ivs = tuple(zip(lo, hi))
-        blocks = [tuple(ivs[m] for m in g) for g in groups]
-        for own in sorted(set(blocks[k])):
-            if not own[0] <= v <= own[1]:
-                continue
-            reduced = list(blocks[k])
-            reduced.remove(own)
-            cnt = _arrangements(tuple(reduced))
-            for g, block in enumerate(blocks):
-                if g != k:
-                    cnt *= _arrangements(block)
-            opp = []
-            for g, block in enumerate(blocks):
-                vals = reduced if g == k else list(block)
-                opp.extend((g, iv) for iv in vals)
-            mass = w * cnt
-            degenerate = False
-            for _, (a, c) in opp:
-                if c == a:
-                    degenerate = True
-                    break
-                mass *= c - a
-            if degenerate:
-                continue
-            fi += mass
-            gs, Gs = [], []
-            for g, (a, c) in opp:
-                strat = profile.strategies[g]
-                if not isinstance(strat, JumpStrategy):
-                    raise TypeError("CFPA opponents must play jump strategies")
-                gg, GG = _jump_masses(strat, jb, a, c)
-                gs.append(gg)
-                Gs.append(GG)
-            acc += mass * win_from_ties(tie_dp(gs, Gs))
-    if fi == 0:
-        raise ValueError(f"value {v} outside marginal support of bidder {i}")
-    total = (v - b) * acc
-    return total if raw else total / fi
+    game = _Game(auction, profile, True, [rat(b)])
+    return game.utilities(i, rat(v), raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +496,12 @@ def utility(
     raw: bool = False,
 ) -> Fraction:
     """Interim (or raw) utility, dispatching on the instance kind."""
-    prior = auction.prior
-    if isinstance(prior, (DiscretePrior, SymmetricDiscretePrior)):
-        if isinstance(prior, SymmetricDiscretePrior) and opponents.groups is not None:
-            return utility_dfpa_symmetric(auction, i, v, bid, opponents, raw)
-        return utility_dfpa(auction, i, v, bid, opponents.expand(auction.n), raw)
-    if isinstance(prior, BoxDensity) and prior.groups is not None and opponents.groups is not None:
-        return utility_cfpa_symmetric(auction, i, v, rat(bid), opponents, raw)
-    return utility_cfpa(auction, i, v, rat(bid), opponents.expand(auction.n), raw)
+    succinct = _succinct(auction, opponents)
+    if auction.is_discrete:
+        fn = utility_dfpa_symmetric if succinct else utility_dfpa
+        return fn(auction, i, v, bid, opponents, raw)
+    fn = utility_cfpa_symmetric if succinct else utility_cfpa
+    return fn(auction, i, v, rat(bid), opponents, raw)
 
 
 def evaluate(auction: Auction, query: UtilityQuery) -> Fraction:
@@ -436,7 +521,8 @@ def best_response(
     """Argmax bids, best utility and the margin to the best non-argmax bid."""
     v = rat(v)
     candidates = [b for b in auction.bids if not no_overbidding or b <= v]
-    utils = {b: utility(auction, i, v, b, opponents, raw) for b in candidates}
+    game = _Game(auction, opponents, _succinct(auction, opponents), candidates)
+    utils = dict(zip(candidates, game.utilities(i, v, raw)))
     best = max(utils.values())
     argmax = tuple(b for b in candidates if utils[b] == best)
     rest = [u for b, u in utils.items() if b not in argmax]
@@ -509,193 +595,102 @@ def check_affiliation(prior) -> tuple[bool, tuple | None]:
 # equilibrium verification
 # ---------------------------------------------------------------------------
 
-def _discrete_value_points(auction: Auction, i: int):
-    prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = _expanded(prior)
-    marg = {}
-    for tup, m in prior.support:
-        marg[tup[i]] = marg.get(tup[i], ZERO) + m
-    return sorted(v for v, m in marg.items() if m > 0)
-
-
-def _run_sharded(tasks, worker, threads: int):
-    """Run per-bidder verification shards, merging results in task order so
-    the report is identical regardless of schedule."""
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
-def _verify_discrete(
-    auction: Auction, profile: Profile, eps: Fraction, mixed: bool, threads: int = 1
-) -> VerificationReport:
-    prior = auction.prior
-    symmetric = (
-        isinstance(prior, SymmetricDiscretePrior) and profile.groups is not None
-    )
-    bidders = (
-        [g[0] for g in prior.groups] if symmetric else list(range(auction.n))
-    )
-
-    def shard(i: int):
-        strat = profile.for_bidder(i)
-        violations = []
-        max_gain = ZERO
-        for v in _discrete_value_points(auction, i):
-            played = _mixed_row(strat, v) if mixed else {strat.bid_at(v): ONE}
-            current = utility(auction, i, v, played, profile)
-            best, best_bid = current, None
-            for b in auction.bids:
-                u = utility(auction, i, v, b, profile)
-                if u > best:
-                    best, best_bid = u, b
-            gain = best - current
-            max_gain = max(max_gain, gain)
-            if gain > eps:
-                violations.append(
-                    Violation(
-                        bidder=i,
-                        value=v,
-                        played=tuple(sorted(b for b, w in played.items() if w > 0)),
-                        best_bid=best_bid,
-                        gain=gain,
-                    )
-                )
-        return max_gain, violations
-
-    shards = _run_sharded(bidders, shard, threads)
-    violations = [v for _, vs in shards for v in vs]
-    max_gain = max((g for g, _ in shards), default=ZERO)
-    return VerificationReport(
-        ok=not violations, eps=eps, max_gain=max_gain, violations=tuple(violations)
-    )
-
-
-def _cfpa_cells(auction: Auction, i: int, own: JumpStrategy):
+def _cfpa_cells(prior: BoxDensity, i: int, own: JumpStrategy):
     """Open intervals of constant conditional and constant own bid."""
-    prior = auction.prior
-    if isinstance(prior, IIDMarginal):
-        prior = prior.as_box_density(auction.n)
     cuts = set(prior.axis_breakpoints(i))
     cuts.update(own.thresholds)
     cuts = sorted(cuts)
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _verify_cfpa(
-    auction: Auction, profile: Profile, eps: Fraction, threads: int = 1
-) -> VerificationReport:
-    prior = auction.prior
-    symmetric = (
-        isinstance(prior, BoxDensity)
-        and prior.groups is not None
-        and profile.groups is not None
-    )
-    bidders = [g[0] for g in prior.groups] if symmetric else list(range(auction.n))
-    box_view = prior
-    if isinstance(box_view, IIDMarginal):
-        box_view = box_view.as_box_density(auction.n)
+def _deviations(auction: Auction, profile: Profile, mixed: bool):
+    """Yield (bidder, value, played, best_bid, gain) for every checked
+    deviation, bidder by bidder and value by value.
 
-    def shard(i: int):
+    DFPA: one record per value of positive marginal mass, against all bids.
+    CFPA: jump-strategy profiles are checked cell by cell on the arrangement
+    grid of box endpoints and jump thresholds; H is constant across an open
+    cell and utilities are linear in v, so the supremum of a deviation gain
+    over the cell is attained at an endpoint limit.
+    """
+    succinct = _succinct(auction, profile)
+    game = _Game(auction, profile, succinct)
+    bids = game.bids
+    position = {b: k for k, b in enumerate(bids)}
+    bidders = [g[0] for g in auction.prior.groups] if succinct else range(auction.n)
+    for i in bidders:
         strat = profile.for_bidder(i)
+        if auction.is_discrete:
+            for v in support_values(auction.prior, i):
+                played = _mixed_row(strat, v) if mixed else {strat.bid_at(v): ONE}
+                fi, H = game.win_mass(i, v)
+                # raw utilities: the interim ones times f_i(v) > 0
+                us = [(v - b) * h for b, h in zip(bids, H)]
+                current = ZERO
+                for b, w in played.items():
+                    if b not in position:
+                        raise ValueError(f"bid {b} at value {v} not in bid space")
+                    current += w * us[position[b]]
+                best, best_bid = current, None
+                for b, u in zip(bids, us):
+                    if u > best:
+                        best, best_bid = u, b
+                played_bids = tuple(sorted(b for b, w in played.items() if w > 0))
+                yield i, v, played_bids, best_bid, (best - current) / fi
+            continue
         if not isinstance(strat, JumpStrategy):
             raise TypeError("CFPA verification expects jump strategies")
-        violations = []
-        max_gain = ZERO
-        for lo, hi in _cfpa_cells(auction, i, strat):
+        for lo, hi in _cfpa_cells(game.prior, i, strat):
             mid = Fraction(lo + hi, 2)
-            fi = marginal_mass(box_view, i, mid)
+            fi, H = game.win_mass(i, mid)
             if fi == 0:
                 continue  # cell outside the marginal's support
-            # H values are constant across the open cell; utilities are
-            # linear in v, so the supremum of any deviation gain over the
-            # cell is attained at an endpoint limit.
-            cur_bid = strat.bid_at(mid)
-            h = {
-                b: _cfpa_raw_win_mass(auction, box_view, i, mid, b, profile) / fi
-                for b in auction.bids
-            }
-            h_cur = h[cur_bid]
-            for b in auction.bids:
+            cur = strat.bid_at(mid)
+            h = [x / fi for x in H]
+            h_cur = h[position[cur]]
+            for b, hb in zip(bids, h):
                 for vpt in (lo, hi):
-                    gain = (vpt - b) * h[b] - (vpt - cur_bid) * h_cur
-                    if gain > max_gain:
-                        max_gain = gain
-                    if gain > eps:
-                        violations.append(
-                            Violation(
-                                bidder=i,
-                                value=vpt,
-                                played=cur_bid,
-                                best_bid=b,
-                                gain=gain,
-                            )
-                        )
-        return max_gain, violations
+                    yield i, vpt, cur, b, (vpt - b) * hb - (vpt - cur) * h_cur
 
-    shards = _run_sharded(bidders, shard, threads)
-    violations = [v for _, vs in shards for v in vs]
-    max_gain = max((g for g, _ in shards), default=ZERO)
+
+def _verify(
+    auction: Auction, profile: Profile, eps: Fraction, mixed: bool, first: bool = False
+) -> VerificationReport:
+    """Run the deviation loop; ``first`` stops at the first violation."""
+    max_gain = ZERO
+    violations = []
+    for bidder, value, played, best_bid, gain in _deviations(auction, profile, mixed):
+        if gain > max_gain:
+            max_gain = gain
+        if gain > eps:
+            violations.append(Violation(bidder, value, played, best_bid, gain))
+            if first:
+                break
     return VerificationReport(
         ok=not violations, eps=eps, max_gain=max_gain, violations=tuple(violations)
     )
 
 
-def _cfpa_raw_win_mass(auction, box_view, i, v, b, profile) -> Fraction:
-    """H_i(b; v) times f_i(v), summed over the expanded boxes."""
-    jb = auction.bids.index(b)
-    acc = ZERO
-    for lo, hi, w in box_view.expanded_boxes:
-        if not lo[i] <= v <= hi[i]:
-            continue
-        mass = w
-        degenerate = False
-        for j in range(box_view.n):
-            if j != i:
-                if hi[j] == lo[j]:
-                    degenerate = True
-                    break
-                mass *= hi[j] - lo[j]
-        if degenerate:
-            continue
-        gs, Gs = [], []
-        for j in range(box_view.n):
-            if j == i:
-                continue
-            g, G = _jump_masses(profile.for_bidder(j), jb, lo[j], hi[j])
-            gs.append(g)
-            Gs.append(G)
-        acc += mass * win_from_ties(tie_dp(gs, Gs))
-    return acc
-
-
-def verify_pbne(
-    auction: Auction, profile: Profile, eps, threads: int = 1
-) -> VerificationReport:
+def verify_pbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
     """Check the epsilon-PBNE condition for every bidder and support value.
 
     DFPA: every value of positive marginal mass is checked against all bids.
     CFPA: jump-strategy profiles are checked cell-by-cell on the arrangement
     grid of box endpoints and jump thresholds (the almost-everywhere
     criterion; deviation gains are linear per cell so endpoint limits are
-    exact).  ``threads`` shards the work per bidder; the report is the same
-    for any thread count.
+    exact).
     """
-    eps = rat(eps)
-    if auction.is_discrete:
-        return _verify_discrete(auction, profile, eps, mixed=False, threads=threads)
-    return _verify_cfpa(auction, profile, eps, threads=threads)
+    return _verify(auction, profile, rat(eps), mixed=False)
 
 
-def verify_mbne(
-    auction: Auction, profile: Profile, eps, threads: int = 1
-) -> VerificationReport:
+def is_pbne(auction: Auction, profile: Profile, eps) -> bool:
+    """``verify_pbne(...).ok``, stopping at the first violation."""
+    return _verify(auction, profile, rat(eps), mixed=False, first=True).ok
+
+
+def verify_mbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
     """Mixed-profile verification; comparing against pure deviations suffices."""
     eps = rat(eps)
     if not auction.is_discrete:
         raise TypeError("mixed-strategy verification applies to DFPA instances")
-    return _verify_discrete(auction, profile, eps, mixed=True, threads=threads)
+    return _verify(auction, profile, eps, mixed=True)

@@ -83,11 +83,18 @@ class BidSpace:
     def __getitem__(self, j: int) -> Fraction:
         return self.bids[j]
 
+    @cached_property
+    def _positions(self) -> dict[Fraction, int]:
+        return {b: j for j, b in enumerate(self.bids)}
+
     def index(self, b: Fraction) -> int:
-        return self.bids.index(b)
+        try:
+            return self._positions[b]
+        except KeyError:
+            raise ValueError("tuple.index(x): x not in tuple") from None
 
     def __contains__(self, b) -> bool:
-        return rat(b) in self.bids
+        return rat(b) in self._positions
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,17 @@ class DiscretePrior:
 
     def mass(self, values: Sequence[Fraction]) -> Fraction:
         return self.pmf.get(tuple(values), ZERO)
+
+    @cached_property
+    def support_by_value(
+        self,
+    ) -> dict[tuple[int, Fraction], tuple[tuple[tuple[Fraction, ...], Fraction], ...]]:
+        """Support points grouped by (bidder, own value), in support order."""
+        out: dict = {}
+        for tup, m in self.support:
+            for i, v in enumerate(tup):
+                out.setdefault((i, v), []).append((tup, m))
+        return {key: tuple(points) for key, points in out.items()}
 
 
 @dataclass(frozen=True)
@@ -152,6 +170,11 @@ class SymmetricDiscretePrior:
             if bidder in members:
                 return g
         raise IndexError(f"bidder {bidder} not in any group")
+
+    @cached_property
+    def expanded(self) -> "DiscretePrior":
+        """The explicit prior; see :func:`expand_symmetric`."""
+        return expand_symmetric(self)
 
     @cached_property
     def value_spaces(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -535,7 +558,7 @@ def marginal(prior: Prior, i: int, n: int | None = None):
     """Marginal of bidder i: a value->mass dict for discrete priors, an
     IIDMarginal-shaped piecewise-constant density for continuous ones."""
     if isinstance(prior, SymmetricDiscretePrior):
-        prior = expand_symmetric(prior)
+        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
@@ -582,10 +605,18 @@ def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
                         sect *= hi[j] - lo[j]
                 total += sect
         return total
-    m = marginal(prior, i)
-    if isinstance(m, IIDMarginal):
-        return m.density(v)
-    return m.get(v, ZERO)
+    if isinstance(prior, SymmetricDiscretePrior):
+        prior = prior.expanded
+    if isinstance(prior, DiscretePrior):
+        if not 0 <= i < prior.n:
+            raise IndexError(f"bidder index {i} out of range")
+        return sum((m for _, m in prior.support_by_value.get((i, v), ())), ZERO)
+    return marginal(prior, i).density(v)
+
+
+def support_values(prior: Prior, i: int) -> list[Fraction]:
+    """Values of bidder i with positive marginal mass (discrete priors)."""
+    return [v for v, m in marginal(prior, i).items() if m > 0]
 
 
 def conditional(prior: Prior, i: int, v: Fraction):
@@ -596,7 +627,7 @@ def conditional(prior: Prior, i: int, v: Fraction):
     """
     v = rat(v)
     if isinstance(prior, SymmetricDiscretePrior):
-        prior = expand_symmetric(prior)
+        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
         fi = marginal_mass(prior, i, v)
         if fi == 0:
@@ -757,21 +788,29 @@ def validate_instance(instance) -> ValidationReport:
     return ValidationReport(ok=not errs, violations=tuple(errs))
 
 
-def validate_strategy(strategy: Strategy, auction: Auction, errs=None) -> ValidationReport:
-    """Check a strategy against an auction's bid and value spaces."""
+def validate_strategy(
+    strategy: Strategy, auction: Auction, errs=None, bidder: int | None = None
+) -> ValidationReport:
+    """Check a strategy against an auction's bid and value spaces.
+
+    ``bidder`` is the seat whose value space applies; it defaults to the
+    strategy's own ``bidder`` field.
+    """
     errs = [] if errs is None else errs
     B = auction.bids
+    if bidder is None:
+        bidder = getattr(strategy, "bidder", None)
     if isinstance(strategy, PureStrategy):
-        vs = _value_space(auction, strategy.bidder)
+        vs = _value_space(auction, bidder)
         if vs is not None and tuple(v for v, _ in strategy.mapping) != vs:
-            errs.append(f"pure strategy of bidder {strategy.bidder} not total over V_i")
+            errs.append(f"pure strategy of bidder {bidder} not total over V_i")
         for v, b in strategy.mapping:
             if b not in B:
                 errs.append(f"bid {b} at value {v} not in bid space")
     elif isinstance(strategy, MixedStrategy):
-        vs = _value_space(auction, strategy.bidder)
+        vs = _value_space(auction, bidder)
         if vs is not None and tuple(v for v, _ in strategy.table) != vs:
-            errs.append(f"mixed strategy of bidder {strategy.bidder} not total over V_i")
+            errs.append(f"mixed strategy of bidder {bidder} not total over V_i")
         for v, dist in strategy.table:
             tot = ZERO
             for b, w in dist:
@@ -783,6 +822,8 @@ def validate_strategy(strategy: Strategy, auction: Auction, errs=None) -> Valida
             if tot != 1:
                 errs.append(f"row at value {v} sums to {tot} != 1")
     elif isinstance(strategy, JumpStrategy):
+        if strategy.bids != B:
+            errs.append("jump strategy bids differ from the instance's bid space")
         x = strategy.thresholds
         if len(x) != len(strategy.bids) + 1:
             errs.append(f"need {len(strategy.bids) + 1} thresholds, got {len(x)}")
@@ -806,3 +847,39 @@ def _value_space(auction: Auction, bidder: int):
     if isinstance(prior, SymmetricDiscretePrior):
         return prior.value_spaces[bidder]
     return None
+
+
+def validate_profile(profile: Profile, auction: Auction) -> ValidationReport:
+    """Check a profile against an auction: one strategy per bidder (or per
+    group, the groups covering every bidder exactly once), each of the kind
+    the auction takes and valid for its seat.  A per-group strategy is
+    checked against the group's first bidder."""
+    errs: list[str] = []
+    n = auction.n
+    groups = profile.groups
+    if groups is None:
+        if len(profile.strategies) != n:
+            errs.append(f"profile has {len(profile.strategies)} strategies for {n} bidders")
+    else:
+        prior_groups = getattr(auction.prior, "groups", None)
+        if sorted(i for g in groups for i in g) != list(range(n)) or not all(groups):
+            errs.append(f"profile groups {groups} do not partition 0..{n - 1}")
+        elif prior_groups is not None and groups != prior_groups:
+            errs.append(f"profile groups {groups} differ from the instance's {prior_groups}")
+        if len(profile.strategies) != len(groups):
+            errs.append(
+                f"profile has {len(profile.strategies)} strategies for {len(groups)} groups"
+            )
+    if errs:
+        return ValidationReport(ok=False, violations=tuple(errs))
+    seats = range(n) if groups is None else [g[0] for g in groups]
+    kinds = (PureStrategy, MixedStrategy) if auction.is_discrete else (JumpStrategy,)
+    for seat, strategy in zip(seats, profile.strategies):
+        if not isinstance(strategy, kinds):
+            errs.append(
+                f"{type(strategy).__name__} of bidder {seat} does not fit a "
+                f"{auction.kind} instance"
+            )
+            continue
+        validate_strategy(strategy, auction, errs, bidder=seat)
+    return ValidationReport(ok=not errs, violations=tuple(errs))

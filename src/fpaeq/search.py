@@ -30,6 +30,7 @@ from .model import (
     PureStrategy,
     SymmetricDiscretePrior,
     rat,
+    support_values,
 )
 from . import engine
 from .serialize import profile_to_doc, dumps
@@ -73,16 +74,6 @@ class SearchResult:
 # pure-strategy enumeration (DFPA)
 # ---------------------------------------------------------------------------
 
-def _support_values(auction: Auction, i: int) -> list[Fraction]:
-    prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = engine._expanded(prior)
-    marg: dict[Fraction, Fraction] = {}
-    for tup, m in prior.support:
-        marg[tup[i]] = marg.get(tup[i], ZERO) + m
-    return sorted(v for v, m in marg.items() if m > 0)
-
-
 def _bid_choices(
     values: Sequence[Fraction], bids: BidSpace, cfg: SearchConfig
 ) -> list[tuple[Fraction, ...]]:
@@ -123,24 +114,15 @@ def _fill_strategy(
     return PureStrategy(bidder, mapping)
 
 
-def _passes(auction: Auction, profile: Profile, eps: Fraction, bidders) -> bool:
-    for i in bidders:
-        strat = profile.for_bidder(i)
-        for v in _support_values(auction, i):
-            current = engine.utility(auction, i, v, strat.bid_at(v), profile)
-            for b in auction.bids:
-                if engine.utility(auction, i, v, b, profile) - current > eps:
-                    return False
-    return True
-
-
-def _log_candidate(log: IO[str] | None, auction, profile, eps, bidders) -> None:
+def _verdict(log: IO[str] | None, auction, profile, eps) -> bool:
+    """The candidate's verdict.  A logged candidate gets the full report
+    and one log line; otherwise the check stops at the first violation."""
     if log is None:
-        return
-    digest = hashlib.sha256(dumps(profile_to_doc(profile)).encode()).hexdigest()[:12]
+        return engine.is_pbne(auction, profile, eps)
     report = engine.verify_pbne(auction, profile, eps)
-    verdict = "pass" if report.ok else "fail"
-    log.write(f"{digest} {verdict} {report.max_gain}\n")
+    digest = hashlib.sha256(dumps(profile_to_doc(profile)).encode()).hexdigest()[:12]
+    log.write(f"{digest} {'pass' if report.ok else 'fail'} {report.max_gain}\n")
+    return report.ok
 
 
 def enumerate_pure_equilibria(
@@ -155,7 +137,7 @@ def enumerate_pure_equilibria(
         spaces = prior.value_spaces
     else:
         raise TypeError("pure enumeration applies to discrete instances")
-    supp = [_support_values(auction, i) for i in range(n)]
+    supp = [support_values(prior, i) for i in range(n)]
     choices = [_bid_choices(supp[i], auction.bids, cfg) for i in range(n)]
     count = 1
     for ch in choices:
@@ -164,14 +146,12 @@ def enumerate_pure_equilibria(
         raise BudgetExceeded(count, cfg.budget)
 
     checked = 0
-    bidders = range(n)
     for combo in itertools.product(*choices):
         profile = Profile(
             [_fill_strategy(i, spaces[i], supp[i], combo[i]) for i in range(n)]
         )
         checked += 1
-        _log_candidate(log, auction, profile, cfg.eps, bidders)
-        if _passes(auction, profile, cfg.eps, bidders):
+        if _verdict(log, auction, profile, cfg.eps):
             return SearchResult("found", profile, checked)
     return SearchResult("none", None, checked)
 
@@ -184,7 +164,7 @@ def enumerate_symmetric_pure(
     if not isinstance(prior, SymmetricDiscretePrior):
         raise TypeError("symmetric enumeration needs a SymmetricDiscretePrior")
     reps = [g[0] for g in prior.groups]
-    supp = [_support_values(auction, i) for i in reps]
+    supp = [support_values(prior, i) for i in reps]
     choices = [
         _bid_choices(supp[g], auction.bids, cfg) for g in range(len(prior.groups))
     ]
@@ -202,8 +182,7 @@ def enumerate_symmetric_pure(
         ]
         profile = Profile(strategies, groups=prior.groups)
         checked += 1
-        _log_candidate(log, auction, profile, cfg.eps, reps)
-        if _passes(auction, profile, cfg.eps, reps):
+        if _verdict(log, auction, profile, cfg.eps):
             return SearchResult("found", profile, checked)
     return SearchResult("none", None, checked)
 
@@ -304,14 +283,6 @@ def jump_grid_search(
         strategies = [JumpStrategy(auction.bids, x) for x in combo]
         profile = Profile(strategies, groups=groups if cfg.symmetric else None)
         checked += 1
-        report = engine.verify_pbne(auction, profile, cfg.eps)
-        if log is not None:
-            digest = hashlib.sha256(
-                dumps(profile_to_doc(profile)).encode()
-            ).hexdigest()[:12]
-            log.write(
-                f"{digest} {'pass' if report.ok else 'fail'} {report.max_gain}\n"
-            )
-        if report.ok:
+        if _verdict(log, auction, profile, cfg.eps):
             return SearchResult("found", profile, checked)
     return SearchResult("none", None, checked)

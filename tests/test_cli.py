@@ -11,7 +11,7 @@ from fpaeq.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
-from fpaeq.model import Profile, PureStrategy
+from fpaeq.model import MixedStrategy, Profile, PureStrategy
 from fpaeq.serialize import (
     instance_to_doc,
     dumps,
@@ -116,6 +116,45 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY_FAIL
         assert json.loads(out)["violations"]
+
+
+class TestProfileValidation:
+    BAD = {
+        # a row of weight 2 holding a bid outside B
+        "heavy_row": Profile(
+            [
+                MixedStrategy(
+                    i,
+                    {F(0): {F(0): F(1)}, F(1, 2): {F(3, 4): F(2)}, F(1): {F(0): F(1)}},
+                )
+                for i in range(2)
+            ]
+        ),
+        # a pure strategy that misses value 0
+        "missing_value": Profile(
+            [
+                PureStrategy(0, {F(0): F(0), F(1, 2): F(0), F(1): F(0)}),
+                PureStrategy(1, {F(1, 2): F(0), F(1): F(0)}),
+            ]
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["verify"],
+            ["utility", "--bidder", "0", "--value", "1", "--bid", "1/10"],
+            ["best-response", "--bidder", "0", "--value", "1"],
+        ],
+    )
+    def test_bad_profile_exits_12(self, capsys, files, tmp_path, bad, verb):
+        _, inst, _ = files
+        path = tmp_path / "bad.json"
+        save_profile(self.BAD[bad], str(path))
+        code, out, err = run(capsys, *verb, "--instance", inst, "--profile", path)
+        assert code == EXIT_VALIDATION and out == ""
+        assert json.loads(err)["error"] == "validation"
 
 
 class TestSearchVerbs:

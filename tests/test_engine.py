@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fpaeq.engine import (
+    _Game,
     best_response,
     check_affiliation,
     check_monotone,
+    is_pbne,
     tie_dp,
     utility,
     utility_cfpa,
@@ -24,6 +28,7 @@ from fpaeq.model import (
     BidSpace,
     BoxDensity,
     DiscretePrior,
+    IIDMarginal,
     JumpStrategy,
     MixedStrategy,
     Profile,
@@ -31,12 +36,15 @@ from fpaeq.model import (
     SymmetricDiscretePrior,
     expand_symmetric,
     marginal,
+    support_values,
 )
 from conftest import (
+    nested_cube_sapv,
     random_apv_auction,
     random_discrete_auction,
     random_mixed_profile,
     random_monotone_mixed,
+    random_rationals,
     random_symmetric_auction,
 )
 from oracles import (
@@ -478,3 +486,169 @@ class TestOrderProperties:
                         continue
                     if u[(bh, vl)] >= u[(bl, vl)]:
                         assert u[(bh, vh)] >= u[(bl, vh)]
+
+
+# ---------------------------------------------------------------------------
+# the win-mass kernel against the plain tie DP and the oracles
+# ---------------------------------------------------------------------------
+
+def _row(strategy, v):
+    if isinstance(strategy, PureStrategy):
+        return {strategy.bid_at(v): F(1)}
+    return strategy.row(v)
+
+
+def _reference_win_masses(auc, profile, i, v):
+    """f_i(v) * H(b) per bid: every opponent through tie_dp, no shortcuts."""
+    prior = auc.prior
+    profile = profile.expand(auc.n)
+    out = []
+    if auc.is_discrete:
+        if isinstance(prior, SymmetricDiscretePrior):
+            prior = expand_symmetric(prior)
+        for b in auc.bids:
+            acc = F(0)
+            for tup, m in prior.support:
+                if tup[i] != v:
+                    continue
+                rows = [_row(profile.strategies[j], x) for j, x in enumerate(tup) if j != i]
+                gs = [row.get(b, F(0)) for row in rows]
+                Gs = [sum((w for bb, w in row.items() if bb < b), F(0)) for row in rows]
+                acc += m * win_from_ties(tie_dp(gs, Gs))
+            out.append(acc)
+        return out
+    if isinstance(prior, IIDMarginal):
+        prior = prior.as_box_density(auc.n)
+    for jb in range(len(auc.bids)):
+        acc = F(0)
+        for lo, hi, w in prior.expanded_boxes:
+            if not lo[i] <= v <= hi[i]:
+                continue
+            mass, gs, Gs = w, [], []
+            for j in range(auc.n):
+                if j != i:
+                    s, a, c = profile.strategies[j], lo[j], hi[j]
+                    mass *= c - a
+                    gs.append(s.mass_at_bid(jb, a, c) / (c - a))
+                    Gs.append(s.mass_below_bid(jb, a, c) / (c - a))
+            acc += mass * win_from_ties(tie_dp(gs, Gs))
+        out.append(acc)
+    return out
+
+
+def _random_pure(rng, bidder, values, bids):
+    return PureStrategy(bidder, {v: rng.choice(bids) for v in values})
+
+
+def _random_mixed(rng, bidder, values, bids):
+    rows = {}
+    for v in values:
+        support = rng.sample(bids, rng.randint(1, min(2, len(bids))))
+        rows[v] = dict(zip(support, random_rationals(rng, len(support), den=4)))
+    return MixedStrategy(bidder, rows)
+
+
+def _random_jump(rng, bids):
+    xs = sorted(F(rng.randint(0, 8), 8) for _ in range(len(bids) - 1))
+    return JumpStrategy(bids, [F(0)] + [max(x, b) for x, b in zip(xs, bids[1:])] + [F(1)])
+
+
+def _random_iid(rng):
+    cuts = sorted(rng.sample([F(k, 8) for k in range(1, 8)], rng.randint(1, 2)))
+    bps = [F(0)] + cuts + [F(1)]
+    weights = [rng.randint(1, 3) for _ in cuts + [None]]
+    total = sum((b - a) * w for a, b, w in zip(bps, bps[1:], weights))
+    bids = [F(0)] + sorted(rng.sample([F(k, 8) for k in range(1, 8)], 2))
+    return Auction(BidSpace(bids), IIDMarginal(bps, [w / total for w in weights]), 3)
+
+
+def _discrete_case(rng, kind):
+    """(auction, profile, bidders to probe) for a discrete prior kind."""
+    if kind == "dfpa":
+        auc = random_discrete_auction(rng)
+        spaces, seats, groups = auc.prior.value_spaces, range(auc.n), None
+    else:
+        auc = random_symmetric_auction(rng)
+        groups = auc.prior.groups
+        spaces, seats = auc.prior.group_values, range(len(groups))
+    make = rng.choice((_random_pure, _random_mixed))
+    bids = list(auc.bids)
+    profile = Profile([make(rng, s, spaces[s], bids) for s in seats], groups=groups)
+    bidders = [g[0] for g in groups] if groups else range(auc.n)
+    return auc, profile, bidders
+
+
+def _box_case(rng, kind):
+    if kind == "iid":
+        auc = _random_iid(rng)
+    else:
+        auc = nested_cube_sapv(rng, n=rng.randint(2, 3))
+        if kind == "boxes":
+            auc = Auction(auc.bids, BoxDensity(auc.n, auc.prior.expanded_boxes, None))
+    bids = list(auc.bids)
+    if kind == "grouped":
+        return auc, Profile([_random_jump(rng, bids)], groups=auc.prior.groups), [0]
+    profile = Profile([_random_jump(rng, bids) for _ in range(auc.n)])
+    return auc, profile, range(auc.n)
+
+
+KERNEL_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestKernelProperties:
+    @KERNEL_SETTINGS
+    @given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(["dfpa", "symmetric"]))
+    def test_discrete_vector_and_utilities(self, rng, kind):
+        auc, profile, bidders = _discrete_case(rng, kind)
+        game = _Game(auc, profile, kind == "symmetric")
+        for i in bidders:
+            for v in support_values(auc.prior, i):
+                fi, H = game.win_mass(i, v)
+                assert H == _reference_win_masses(auc, profile, i, v)
+                for b in auc.bids:
+                    assert utility(auc, i, v, b, profile) == enum_utility_dfpa(
+                        auc, i, v, b, profile
+                    )
+        if all(isinstance(s, PureStrategy) for s in profile.strategies):
+            assert is_pbne(auc, profile, 0) == verify_pbne(auc, profile, 0).ok
+
+    @KERNEL_SETTINGS
+    @given(
+        rng=st.randoms(use_true_random=False),
+        kind=st.sampled_from(["boxes", "grouped", "iid"]),
+    )
+    def test_box_vector_and_utilities(self, rng, kind):
+        auc, profile, bidders = _box_case(rng, kind)
+        game = _Game(auc, profile, kind == "grouped")
+        for i in bidders:
+            # grid points hit box faces and jump thresholds; odd 16ths do not
+            for v in rng.sample([F(k, 16) for k in range(17)], 3):
+                fi, H = game.win_mass(i, v)
+                if fi == 0:
+                    continue
+                assert H == _reference_win_masses(auc, profile, i, v)
+                for b in auc.bids:
+                    assert utility(auc, i, v, b, profile) == rect_utility_cfpa(
+                        auc, i, v, b, profile
+                    )
+        assert is_pbne(auc, profile, 0) == verify_pbne(auc, profile, 0).ok
+
+    def test_shortcuts_match_dp(self):
+        # at bid 1/4 opponent 1 is surely below, 2 surely ties and 3 splits;
+        # at bid 0 opponent 2 is surely above
+        half = F(1, 2)
+        prior = DiscretePrior(4, [(half,)] * 4, [((half,) * 4, 1)])
+        auc = Auction(BidSpace([0, F(1, 4), half]), prior)
+        profile = Profile(
+            [
+                _pure(0, [half], [0]),
+                _pure(1, [half], [0]),
+                _pure(2, [half], [F(1, 4)]),
+                MixedStrategy(3, {half: {F(0): F(1, 3), half: F(2, 3)}}),
+            ]
+        )
+        fi, H = _Game(auc, profile, False).win_mass(0, half)
+        assert H == _reference_win_masses(auc, profile, 0, half)
+        assert H == [0, F(1, 3) / 2, F(1, 3) + F(2, 3) / 2]

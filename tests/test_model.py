@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from fpaeq.model import (
+    Auction,
     BidSpace,
     BoxDensity,
     DiscretePrior,
     IIDMarginal,
     JumpStrategy,
     MixedStrategy,
+    Profile,
     PureStrategy,
     SymmetricDiscretePrior,
     conditional,
@@ -19,6 +21,7 @@ from fpaeq.model import (
     multiplicity,
     rat,
     validate_instance,
+    validate_profile,
     validate_strategy,
 )
 from conftest import random_discrete_auction, random_symmetric_auction
@@ -263,6 +266,24 @@ class TestStrategies:
         report = validate_strategy(bad, uniform_box2)
         assert not report.ok
         assert any("overbidding" in v for v in report.violations)
+
+    def test_validate_profile_seats_groups_and_kinds(self, uniform_box2):
+        sym = SymmetricDiscretePrior(
+            3, [(0, 1), (2,)], [(F(1, 2),), (0, F(1, 2))], [((F(1, 2),) * 3, 1)]
+        )
+        auc = Auction(BidSpace([0, F(1, 4)]), sym)
+        # per-group strategies are checked against each group's first bidder
+        pair = PureStrategy(0, {F(1, 2): F(1, 4)})
+        single = PureStrategy(1, {F(0): F(0), F(1, 2): F(1, 4)})
+        assert validate_profile(Profile([pair, single], groups=sym.groups), auc).ok
+        assert not validate_profile(Profile([single, pair], groups=sym.groups), auc).ok
+        assert not validate_profile(Profile([pair, single], groups=[(0, 1), (1, 2)]), auc).ok
+        assert not validate_profile(Profile([pair, pair]), auc).ok
+        jump = JumpStrategy(uniform_box2.bids, [0, F(1, 4), F(1, 2), F(3, 4), 1])
+        other = JumpStrategy([0, F(1, 4)], [0, F(1, 2), 1])
+        assert validate_profile(Profile([jump, jump]), uniform_box2).ok
+        assert not validate_profile(Profile([jump, other]), uniform_box2).ok
+        assert not validate_profile(Profile([jump, pair]), uniform_box2).ok
 
 
 class TestBoxDensity:
