@@ -12,7 +12,7 @@ Writes staircase.csv with columns v,beta,beta_tilde.
 from fractions import Fraction as F
 
 from fpaeq import Auction, BidSpace, BoxDensity, IIDMarginal
-from fpaeq.densify import densify_solve, eval_beta, eval_beta_iid
+from fpaeq.densify import canonical_beta, densify_solve
 
 bids = BidSpace([F(k, 100) for k in range(101)])
 
@@ -20,6 +20,7 @@ print("=== uniform iid values, two bidders: beta(v) = v/2 ===")
 uniform = IIDMarginal([0, 1], [1])
 auction = Auction(bids, uniform, n=2)
 cert = densify_solve(auction)
+beta = canonical_beta(auction)
 b = cert.bounds
 print(f"gamma = {b.gamma}, bid denseness delta = {b.delta}, "
       f"inverter eps = {cert.eps_inner}")
@@ -27,7 +28,7 @@ print(f"claimed bound 2*gamma*(delta + 2 eps) = {float(cert.claimed):.6f}")
 print(f"measured worst deviation gain        = {float(cert.measured):.9f}")
 for k in (10, 25, 40):
     v = F(k, 50)
-    print(f"  v = {v}: beta = {eval_beta_iid(uniform, 2, v)}, "
+    print(f"  v = {v}: beta = {beta(v)}, "
           f"played = {cert.strategy.bid_at(v)}")
 
 print("\n=== full-support symmetric prior with a high-value bump ===")
@@ -45,9 +46,10 @@ print(f"claimed bound  = {float(cert.claimed):.6f}")
 print(f"measured gain  = {float(cert.measured):.9f}")
 
 rows = ["v,beta,beta_tilde"]
+beta = canonical_beta(auction)
 for k in range(101):
     v = F(k, 100)
-    rows.append(f"{float(v)},{float(eval_beta(auction, v))},"
+    rows.append(f"{float(v)},{float(beta(v))},"
                 f"{float(cert.strategy.bid_at(v))}")
 with open("staircase.csv", "w", encoding="utf-8") as fh:
     fh.write("\n".join(rows) + "\n")

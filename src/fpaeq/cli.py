@@ -74,6 +74,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: not an integer")
+    if k <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be a positive integer")
+    return k
+
+
 def _load_instance(path: str) -> Auction:
     try:
         auction = load_instance(path)
@@ -405,12 +415,10 @@ def cmd_densify(args) -> int:
         rows = ["v,beta,beta_tilde"]
         k = args.grid
         vlo = cert.bounds.v_lo
+        beta = densify_mod.canonical_beta(auction)
         for t in range(k + 1):
             v = vlo + (1 - vlo) * Fraction(t, k)
-            rows.append(
-                f"{fmt(v)},{fmt(densify_mod.eval_beta(auction, v))},"
-                f"{fmt(cert.strategy.bid_at(v))}"
-            )
+            rows.append(f"{fmt(v)},{fmt(beta(v))},{fmt(cert.strategy.bid_at(v))}")
         _write_text(args.samples, "\n".join(rows) + "\n")
     print(dumps(cert_doc), end="")
     return EXIT_OK
@@ -551,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-strategy")
     sp.add_argument("--out-certificate")
     sp.add_argument("--samples")
-    sp.add_argument("--grid", type=int, default=100)
+    sp.add_argument("--grid", type=_positive_int, default=100)
 
     sp = add("check-affiliation", cmd_check_affiliation, help="MTP2 check")
     sp.add_argument("--instance", required=True)
@@ -560,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instance", required=True)
     sp.add_argument("--strategy", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--grid", type=int, default=100)
+    sp.add_argument("--grid", type=_positive_int, default=100)
 
     return p
 

@@ -9,19 +9,21 @@ symmetric equilibrium bidding function
 where G_v is the cdf of the opponents' maximum value conditioned on one's own
 value being v.  For piecewise-constant priors everything here is exactly
 computable: G_v is a piecewise polynomial of degree <= n-1, L_v is a product
-of rational cdf ratios piece by piece, and the integrals reduce to polynomial
-antiderivatives.  The solver inverts beta approximately on the instance's
-discrete bid grid (bisection with an exact beta oracle) and assembles a
-monotone step strategy that underapproximates beta; the resulting profile is
-an approximate equilibrium of the discrete-bid auction with a certified bound
-2*gamma*(delta + 2*eps).
+of rational cdf ratios piece by piece, and beta is one rational function per
+marginal piece, built once per solve.  The solver inverts beta approximately
+on the instance's discrete bid grid (bisection with that exact beta) and
+assembles a monotone step strategy that underapproximates beta; the resulting
+profile is an approximate equilibrium of the discrete-bid auction with a
+certified bound 2*gamma*(delta + 2*eps).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .model import (
     ONE,
@@ -194,115 +196,111 @@ def _require_symmetric_boxes(prior: BoxDensity) -> None:
                 raise UnsupportedPrior("box list is not permutation symmetric")
 
 
-def _sapv_marginal_pieces(prior: BoxDensity):
-    """Full-support marginal as (breakpoints, densities); error on zero pieces."""
+def _sapv_table(prior: BoxDensity):
+    """Full-support marginal breakpoints and, per marginal piece, the max-order
+    cdf G_k conditioned on the piece's midpoint; error on zero-density pieces."""
     marg = marginal(prior, 0)
     if any(p <= 0 for p in marg.densities):
         raise UnsupportedPrior(
             "SAPV densification requires full support (zero-density marginal piece)"
         )
-    return marg.breakpoints, marg.densities
+    bp = marg.breakpoints
+    return bp, [max_order_cdf(prior, Fraction(a + b, 2)) for a, b in zip(bp, bp[1:])]
+
+
+def _piecewise_beta(bp, gs, lo: Fraction, below: str):
+    """beta from the coefficients gs[k] of G_k, the opponents' max-order cdf
+    on marginal piece k = (bp_k, bp_k+1].  There beta(x) = x - N_k(x)/G_k(x)
+    with N_k = A_k - A_k(bp_k) + G_k(bp_k) T_k, A_k the antiderivative of G_k,
+    T_0 = 0 and T_k+1 = N_k(bp_k+1)/G_k(bp_k+1), or 0 where G_k(bp_k+1) = 0
+    (L vanishes below).  beta(lo) = lo; ``below`` is the error for x < lo."""
+    nums, t = [], ZERO
+    for k, cs in enumerate(gs):
+        anti = _poly_antiderivative(cs)
+        nums.append((_poly_eval(cs, bp[k]) * t - _poly_eval(anti, bp[k]),) + anti[1:])
+        right = _poly_eval(cs, bp[k + 1])
+        t = _poly_eval(nums[k], bp[k + 1]) / right if right else ZERO
+
+    def beta(x) -> Fraction:
+        x = rat(x)
+        if x < lo:
+            raise ValueError(below.format(x=x))
+        if x > 1:
+            raise ValueError("value outside [0,1]")
+        if x == lo:
+            return lo
+        k = bisect_left(bp, x) - 1
+        return x - _poly_eval(nums[k], x) / _poly_eval(gs[k], x)
+
+    return beta
+
+
+def _sapv_beta(boxes: BoxDensity):
+    _require_symmetric_boxes(boxes)
+    bp, gs = _sapv_table(boxes)
+    # symmetric prior: G_k's cuts are marginal breakpoints, so one polynomial
+    # covers the whole piece
+    gs = [g.coeffs[g.piece_index(right)] for g, right in zip(gs, bp[1:])]
+    return _piecewise_beta(bp, gs, ZERO, "value outside [0,1]")
+
+
+def _iid_beta(marg: IIDMarginal, n: int):
+    """iid opponents: G = F^(n-1) whatever one's own value, F linear on a
+    piece; beta is flat across a zero-density piece."""
+    a, vlo = marg.breakpoints, marg.support_left
+    gs, f = [], ZERO  # f = F(a_j)
+    for j, pj in enumerate(marg.densities):
+        gs.append(reduce(_poly_mul, [(f - pj * a[j], pj)] * (n - 1), (ONE,)))
+        f += pj * (a[j + 1] - a[j])
+    below = f"value {{x}} below the support's left end {vlo}"
+    return _piecewise_beta(a, gs, vlo, below)
+
+
+def canonical_beta(auction: Auction):
+    """The canonical symmetric equilibrium bid as a callable beta(x), built
+    once as one exact rational function per marginal piece."""
+    prior = auction.prior
+    if isinstance(prior, IIDMarginal):
+        return _iid_beta(prior, auction.n)
+    if isinstance(prior, BoxDensity):
+        return _sapv_beta(prior)
+    raise TypeError("canonical equilibrium applies to continuous instances")
 
 
 def eval_beta_sapv(boxes: BoxDensity, x) -> Fraction:
-    """Exact canonical-equilibrium bid at value x for a full-support
-    symmetric box prior: x minus the integral of the recursively-evaluated
-    L function over [0, x]."""
-    x = rat(x)
-    _require_symmetric_boxes(boxes)
-    bp, _ = _sapv_marginal_pieces(boxes)
-    if x < 0 or x > 1:
-        raise ValueError("value outside [0,1]")
-    if x == 0:
-        return ZERO
-
-    # top piece: the one with a_{k-1} < x <= a_k
-    k_v = next(j for j in range(len(bp) - 1) if bp[j] < x <= bp[j + 1])
-    reps = [Fraction(bp[j] + bp[j + 1], 2) for j in range(len(bp) - 1)]
-    gs = [max_order_cdf(boxes, reps[j]) for j in range(k_v + 1)]
-
-    g_top = gs[k_v]
-    gx = g_top(x)
-    integral = g_top.integrate(bp[k_v], x) / gx
-    l_at = g_top(bp[k_v]) / gx  # L_x at the top piece's left endpoint
-    for kappa in range(k_v - 1, -1, -1):
-        g = gs[kappa]
-        right = g(bp[kappa + 1])
-        if right == 0:
-            break  # everything below contributes zero (L vanishes)
-        integral += g.integrate(bp[kappa], bp[kappa + 1]) / right * l_at
-        l_at *= g(bp[kappa]) / right
-    return x - integral
-
-
-def affiliation_L(boxes: BoxDensity, v, y) -> Fraction:
-    """Exact L_v(y) for the canonical equilibrium of a full-support
-    symmetric box prior, via the same piecewise recursion as eval_beta_sapv."""
-    v, y = rat(v), rat(y)
-    if not 0 <= y <= v <= 1:
-        raise ValueError("need 0 <= y <= v <= 1")
-    bp, _ = _sapv_marginal_pieces(boxes)
-    if v == 0:
-        return ONE if y == v else ZERO
-    k_v = next(j for j in range(len(bp) - 1) if bp[j] < v <= bp[j + 1])
-    reps = [Fraction(bp[j] + bp[j + 1], 2) for j in range(len(bp) - 1)]
-
-    g_top = max_order_cdf(boxes, reps[k_v])
-    if y >= bp[k_v]:
-        return g_top(y) / g_top(v)
-    l_at = g_top(bp[k_v]) / g_top(v)
-    for kappa in range(k_v - 1, -1, -1):
-        g = max_order_cdf(boxes, reps[kappa])
-        right = g(bp[kappa + 1])
-        if right == 0:
-            return ZERO
-        if y >= bp[kappa]:
-            return g(y) / right * l_at
-        l_at *= g(bp[kappa]) / right
-    return l_at
+    """Exact canonical-equilibrium bid at x for a full-support symmetric box prior."""
+    return _sapv_beta(boxes)(x)
 
 
 def eval_beta_iid(marg: IIDMarginal, n: int, x) -> Fraction:
-    """Exact canonical-equilibrium bid for n iid bidders with a
-    piecewise-constant marginal; values outside the support evaluate at the
-    last support point before x."""
-    x = rat(x)
-    a, p = marg.breakpoints, marg.densities
-    vlo = marg.support_left
-    if x < vlo:
-        raise ValueError(f"value {x} below the support's left end {vlo}")
-    if x == vlo:
-        return vlo
-
-    def piece_of(t: Fraction) -> int:
-        return next(j for j in range(len(p)) if a[j] < t <= a[j + 1])
-
-    j = piece_of(x)
-    if p[j] == 0:
-        # constant outside the support: last in-support breakpoint before x
-        j = max(k for k in range(len(p)) if p[k] > 0 and a[k + 1] <= x)
-        x = a[j + 1]
-        if x == vlo:
-            return vlo
-    Fx = marg.cdf(x)
-    acc = ZERO
-    for k in range(j):
-        Fl, Fr = marg.cdf(a[k]), marg.cdf(a[k + 1])
-        if p[k] > 0:
-            acc += (Fr**n - Fl**n) / (n * p[k])
-        else:
-            acc += (a[k + 1] - a[k]) * Fl ** (n - 1)
-    acc += (Fx**n - marg.cdf(a[j]) ** n) / (n * p[j])
-    return x - acc / Fx ** (n - 1)
+    """Exact canonical-equilibrium bid for n iid bidders; values outside the
+    support evaluate at the last support point before x."""
+    return _iid_beta(marg, n)(x)
 
 
 def eval_beta(auction: Auction, x) -> Fraction:
-    prior = auction.prior
-    if isinstance(prior, IIDMarginal):
-        return eval_beta_iid(prior, auction.n, x)
-    if isinstance(prior, BoxDensity):
-        return eval_beta_sapv(prior, x)
-    raise TypeError("canonical equilibrium applies to continuous instances")
+    return canonical_beta(auction)(x)
+
+
+def affiliation_L(boxes: BoxDensity, v, y) -> Fraction:
+    """Exact L_v(y) for a full-support box prior: g_t/G_t is the log-derivative
+    of G_k on marginal piece k, so L_v(y) telescopes into G_k ratios at y, the
+    breakpoints between and v, and is 0 once a G_k vanishes at a right end."""
+    v, y = rat(v), rat(y)
+    if not 0 <= y <= v <= 1:
+        raise ValueError("need 0 <= y <= v <= 1")
+    bp, gs = _sapv_table(boxes)
+    if v == 0:
+        return ONE if y == v else ZERO
+    k = bisect_left(bp, v) - 1
+    j = min(bisect_right(bp, y) - 1, k)
+    out = gs[j](y) / gs[k](v)
+    for mu in range(j, k):
+        right = gs[mu](bp[mu + 1])
+        if right == 0:
+            return ZERO
+        out *= gs[mu + 1](bp[mu + 1]) / right
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +408,7 @@ def approx_invert(auction: Auction, b, eps, _beta=None, _bounds=None) -> Fractio
     b, eps = rat(b), rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    beta = _beta or (lambda x: eval_beta(auction, x))
+    beta = _beta or canonical_beta(auction)
     bounds = _bounds or bounds_profile(auction)
     vlo = bounds.v_lo
     beta_lo, beta_hi = beta(vlo), beta(ONE)
@@ -454,8 +452,10 @@ def densify_solve(auction: Auction, eps=DEFAULT_EPS) -> DensifyCertificate:
     deviation gain of the symmetric profile, computed by the engine.
     """
     eps = rat(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     bounds = bounds_profile(auction)
-    beta = lambda x: eval_beta(auction, x)  # noqa: E731
+    beta = canonical_beta(auction)
     beta_one = beta(ONE)
     vlo = bounds.v_lo
     bids = auction.bids

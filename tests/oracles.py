@@ -3,7 +3,9 @@
 These deliberately avoid the library's computational paths: utilities are
 obtained by brute-force enumeration over outcomes (not the tie DP), CFPA
 utilities by rectangle-arrangement geometry, and continuous-bid equilibrium
-values by adaptive numerical quadrature.
+values by adaptive numerical quadrature.  The exact canonical bid and L are
+also kept as the per-call recursions that re-derive every piece from the
+prior, the references for the densify module's once-built tables.
 """
 
 from __future__ import annotations
@@ -239,3 +241,98 @@ def quad_beta_sapv(prior: BoxDensity, x: float, dps: int = 30) -> float:
     for lo, hi in zip(cuts, cuts[1:]):
         integral += mp.quad(lambda y: L(y, x), [lo, hi])
     return float(x - integral)
+
+
+def _full_support_breakpoints(boxes: BoxDensity):
+    from fpaeq.densify import UnsupportedPrior
+    from fpaeq.model import marginal
+
+    marg = marginal(boxes, 0)
+    if any(p <= 0 for p in marg.densities):
+        raise UnsupportedPrior(
+            "SAPV densification requires full support (zero-density marginal piece)"
+        )
+    return marg.breakpoints
+
+
+def ref_beta_sapv(boxes: BoxDensity, x) -> Fraction:
+    """Exact canonical bid x minus the integral of L_x over [0, x], folding
+    the pieces below x from the top piece down."""
+    from fpaeq.densify import _require_symmetric_boxes, max_order_cdf
+
+    x = Fraction(x)
+    _require_symmetric_boxes(boxes)
+    bp = _full_support_breakpoints(boxes)
+    if x < 0 or x > 1:
+        raise ValueError("value outside [0,1]")
+    if x == 0:
+        return ZERO
+    k_v = next(j for j in range(len(bp) - 1) if bp[j] < x <= bp[j + 1])
+    reps = [Fraction(bp[j] + bp[j + 1], 2) for j in range(len(bp) - 1)]
+    gs = [max_order_cdf(boxes, reps[j]) for j in range(k_v + 1)]
+    g_top = gs[k_v]
+    gx = g_top(x)
+    integral = g_top.integrate(bp[k_v], x) / gx
+    l_at = g_top(bp[k_v]) / gx  # L_x at the top piece's left endpoint
+    for kappa in range(k_v - 1, -1, -1):
+        g = gs[kappa]
+        right = g(bp[kappa + 1])
+        if right == 0:
+            break  # everything below contributes zero (L vanishes)
+        integral += g.integrate(bp[kappa], bp[kappa + 1]) / right * l_at
+        l_at *= g(bp[kappa]) / right
+    return x - integral
+
+
+def ref_affiliation_L(boxes: BoxDensity, v, y) -> Fraction:
+    """Exact L_v(y) by the same top-down recursion as ref_beta_sapv."""
+    from fpaeq.densify import max_order_cdf
+
+    v, y = Fraction(v), Fraction(y)
+    if not 0 <= y <= v <= 1:
+        raise ValueError("need 0 <= y <= v <= 1")
+    bp = _full_support_breakpoints(boxes)
+    if v == 0:
+        return ONE if y == v else ZERO
+    k_v = next(j for j in range(len(bp) - 1) if bp[j] < v <= bp[j + 1])
+    reps = [Fraction(bp[j] + bp[j + 1], 2) for j in range(len(bp) - 1)]
+    g_top = max_order_cdf(boxes, reps[k_v])
+    if y >= bp[k_v]:
+        return g_top(y) / g_top(v)
+    l_at = g_top(bp[k_v]) / g_top(v)
+    for kappa in range(k_v - 1, -1, -1):
+        g = max_order_cdf(boxes, reps[kappa])
+        right = g(bp[kappa + 1])
+        if right == 0:
+            return ZERO
+        if y >= bp[kappa]:
+            return g(y) / right * l_at
+        l_at *= g(bp[kappa]) / right
+    return l_at
+
+
+def ref_beta_iid(marg, n: int, x) -> Fraction:
+    """Exact iid canonical bid x - integral_0^x F^(n-1) / F(x)^(n-1), summed
+    piece by piece from the marginal cdf; flat across zero-density pieces."""
+    x = Fraction(x)
+    a, p = marg.breakpoints, marg.densities
+    vlo = marg.support_left
+    if x < vlo:
+        raise ValueError(f"value {x} below the support's left end {vlo}")
+    if x == vlo:
+        return vlo
+    j = next(k for k in range(len(p)) if a[k] < x <= a[k + 1])
+    if p[j] == 0:
+        # constant outside the support: last in-support breakpoint before x
+        j = max(k for k in range(len(p)) if p[k] > 0 and a[k + 1] <= x)
+        x = a[j + 1]
+    Fx = marg.cdf(x)
+    acc = ZERO
+    for k in range(j):
+        Fl, Fr = marg.cdf(a[k]), marg.cdf(a[k + 1])
+        if p[k] > 0:
+            acc += (Fr**n - Fl**n) / (n * p[k])
+        else:
+            acc += (a[k + 1] - a[k]) * Fl ** (n - 1)
+    acc += (Fx**n - marg.cdf(a[j]) ** n) / (n * p[j])
+    return x - acc / Fx ** (n - 1)

@@ -308,6 +308,47 @@ class TestContinuousVerbs:
         bids = [F(r.split(",")[1]) for r in rows[1:]]
         assert all(b2 >= b1 for b1, b2 in zip(bids, bids[1:]))
 
+    def test_densify_nonpositive_eps_without_in_range_bid(self, capsys, tmp_path):
+        # beta(1) = 1/2 < 99/100: no bid is inverted, eps is still checked
+        doc = {
+            "kind": "cfpa-iid",
+            "bids": ["0", "99/100"],
+            "n": 2,
+            "breakpoints": ["0", "1"],
+            "densities": ["1"],
+        }
+        inst = tmp_path / "no_in_range.json"
+        inst.write_text(dumps(doc))
+        code, out, err = run(capsys, "densify", "--instance", inst, "--eps=-1")
+        assert code == EXIT_PARSE and out == ""
+        assert json.loads(err) == {"error": "invalid", "detail": "eps must be positive"}
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    @pytest.mark.parametrize("verb", ["densify", "emit-plot"])
+    def test_nonpositive_grid_is_a_usage_error(self, capsys, tmp_path, verb, grid):
+        doc = {
+            "kind": "cfpa-iid",
+            "bids": ["0", "1/4"],
+            "n": 2,
+            "breakpoints": ["0", "1"],
+            "densities": ["1"],
+        }
+        inst = tmp_path / "uniform.json"
+        inst.write_text(dumps(doc))
+        strat = tmp_path / "strat.json"
+        code, _, _ = run(capsys, "densify", "--instance", inst, "--out-strategy", strat)
+        assert code == EXIT_OK
+        if verb == "densify":
+            target = ["--samples", tmp_path / "s.csv"]
+        else:
+            target = ["--strategy", strat]
+        argv = [verb, "--instance", inst, *target, f"--grid={grid}"]
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_unsupported_sapv_mode(self, capsys, tmp_path):
         doc = {
             "kind": "cfpa-box",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fpaeq.densify import (
     DEFAULT_EPS,
@@ -11,6 +13,7 @@ from fpaeq.densify import (
     approx_invert,
     bid_denseness,
     bounds_profile,
+    canonical_beta,
     densify_solve,
     eval_beta_iid,
     eval_beta_sapv,
@@ -24,10 +27,17 @@ from fpaeq.model import (
     BoxDensity,
     IIDMarginal,
     Profile,
+    marginal,
     validate_strategy,
 )
 from conftest import nested_cube_sapv
-from oracles import quad_beta_iid, quad_beta_sapv
+from oracles import (
+    quad_beta_iid,
+    quad_beta_sapv,
+    ref_affiliation_L,
+    ref_beta_iid,
+    ref_beta_sapv,
+)
 
 F = Fraction
 ZERO = F(0)
@@ -364,3 +374,87 @@ class TestDensifySolve:
             v = F(k, 20)
             b = eval_beta_iid(m, 2, v)
             assert b - (cert.bounds.delta + 2 * cert.eps_inner) <= cert.strategy.bid_at(v) <= b
+
+    def test_nonpositive_eps_rejected_without_in_range_bid(self):
+        # beta(1) = 1/2 < 99/100, so no bid reaches the inverter's own check
+        auc = Auction(BidSpace([0, F(99, 100)]), UNIFORM, n=2)
+        for eps in (0, -1):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                densify_solve(auc, eps)
+
+
+BETA_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _random_sapv(rng):
+    """Nested-cube prior, n in {2, 3}, grouped or as the plain box list."""
+    auc = nested_cube_sapv(rng, n=rng.randint(2, 3))
+    if rng.random() < 0.5:
+        auc = Auction(auc.bids, BoxDensity(auc.n, auc.prior.expanded_boxes, None))
+    return auc
+
+
+def _random_iid(rng):
+    """Marginal on 2-4 pieces, some of them of zero density."""
+    sixteenths = [F(j, 16) for j in range(1, 16)]
+    bps = [ZERO] + sorted(rng.sample(sixteenths, rng.randint(1, 3))) + [ONE]
+    dens = [F(rng.choice([0, 0, 1, 2, 5])) for _ in bps[1:]]
+    dens[rng.randrange(len(dens))] = F(rng.randint(1, 4))
+    total = sum((b - a) * d for a, b, d in zip(bps, bps[1:], dens))
+    marg = IIDMarginal(bps, [d / total for d in dens])
+    bids = [ZERO] + sorted(rng.sample(sixteenths, 3))
+    return Auction(BidSpace(bids), marg, n=rng.randint(2, 3))
+
+
+def _probes(rng, breakpoints, lo):
+    """Breakpoints, 2^-40 dyadics and arbitrary rationals in [lo, 1]."""
+    pts = list(breakpoints) + [F(rng.randint(0, 2**40), 2**40) for _ in range(3)]
+    for _ in range(3):
+        q = rng.randint(1, 10**6)
+        pts.append(F(rng.randint(0, q), q))
+    return [x for x in pts if x >= lo]
+
+
+def _reference_beta(auc):
+    if isinstance(auc.prior, IIDMarginal):
+        return lambda x: ref_beta_iid(auc.prior, auc.n, x)
+    return lambda x: ref_beta_sapv(auc.prior, x)
+
+
+class TestCanonicalBetaProperties:
+    @BETA_SETTINGS
+    @given(rng=st.randoms(use_true_random=False))
+    def test_sapv_beta_and_l_equal_the_recursion(self, rng):
+        auc = _random_sapv(rng)
+        prior = auc.prior
+        beta = canonical_beta(auc)
+        xs = _probes(rng, marginal(prior, 0).breakpoints, ZERO)
+        for x in xs:
+            assert beta(x) == ref_beta_sapv(prior, x)
+        for v in rng.sample(xs, 3):
+            for y in rng.sample(xs, 3):
+                y = min(y, v)
+                assert affiliation_L(prior, v, y) == ref_affiliation_L(prior, v, y)
+
+    @BETA_SETTINGS
+    @given(rng=st.randoms(use_true_random=False))
+    def test_iid_beta_equals_the_piece_sum(self, rng):
+        auc = _random_iid(rng)
+        marg = auc.prior
+        beta = canonical_beta(auc)
+        for x in _probes(rng, marg.breakpoints, marg.support_left):
+            assert beta(x) == ref_beta_iid(marg, auc.n, x)
+
+    @settings(BETA_SETTINGS, max_examples=10)
+    @given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(["sapv", "iid"]))
+    def test_thresholds_equal_inversions_of_the_reference(self, rng, kind):
+        auc = _random_sapv(rng) if kind == "sapv" else _random_iid(rng)
+        cert = densify_solve(auc)
+        ref = _reference_beta(auc)
+        top = ref(ONE)
+        for j, b in enumerate(auc.bids):
+            if j and cert.bounds.v_lo <= b <= top:
+                expected = approx_invert(auc, b, DEFAULT_EPS, _beta=ref)
+                assert cert.strategy.thresholds[j] == expected
