@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("jump-search", cmd_jump_search, help="grid search over jump profiles")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
-    sp.add_argument("--mesh", type=int, default=None)
+    sp.add_argument("--mesh", type=_positive_int, default=None)
     sp.add_argument("--symmetric", action="store_true")
     sp.add_argument("--budget", type=int, default=2_000_000)
     sp.add_argument("--out")

@@ -22,9 +22,11 @@ at once, in three pieces:
   drops the scenario as soon as one opponent is surely above (g = G = 0).
 
 Utilities, best responses, verification and the search's candidate check
-all read that vector.  Verification is one deviation loop per (bidder,
-value) -- per cell for CFPA -- that ``verify_pbne`` runs to the end and
-``is_pbne`` stops at the first violation.
+all read that vector.  Verification runs :func:`bidder_deviations`, one
+deviation loop per (bidder, value) -- per cell for CFPA -- for each bidder
+against one game; ``verify_pbne`` runs it to the end and ``is_pbne`` stops at
+the first violation.  The search runs it per bidder against games it shares
+between candidates with the same opponents.
 
 Utilities come in two normalizations:
 
@@ -595,62 +597,73 @@ def check_affiliation(prior) -> tuple[bool, tuple | None]:
 # equilibrium verification
 # ---------------------------------------------------------------------------
 
-def _cfpa_cells(prior: BoxDensity, i: int, own: JumpStrategy):
+def _cfpa_cells(axis_cuts: Sequence[Fraction], own: JumpStrategy):
     """Open intervals of constant conditional and constant own bid."""
-    cuts = set(prior.axis_breakpoints(i))
+    cuts = set(axis_cuts)
     cuts.update(own.thresholds)
     cuts = sorted(cuts)
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _deviations(auction: Auction, profile: Profile, mixed: bool):
+def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bool):
     """Yield (bidder, value, played, best_bid, gain) for every checked
-    deviation, bidder by bidder and value by value.
+    deviation of bidder i playing ``strategy``, value by value.  ``game``
+    holds the opponents; bidder i's own seat in it is never read.
 
-    DFPA: one record per value of positive marginal mass, against all bids.
-    CFPA: jump-strategy profiles are checked cell by cell on the arrangement
-    grid of box endpoints and jump thresholds; H is constant across an open
-    cell and utilities are linear in v, so the supremum of a deviation gain
-    over the cell is attained at an endpoint limit.
+    DFPA: one record per value of positive marginal mass, against all bids;
+    ``strategy=None`` yields one record per (value, bid) instead, the gain of
+    playing that bid there.
+    CFPA: jump strategies are checked cell by cell on the arrangement grid of
+    box endpoints and jump thresholds; H is constant across an open cell and
+    utilities are linear in v, so the supremum of a deviation gain over the
+    cell is attained at an endpoint limit.
     """
-    succinct = _succinct(auction, profile)
-    game = _Game(auction, profile, succinct)
     bids = game.bids
     position = {b: k for k, b in enumerate(bids)}
-    bidders = [g[0] for g in auction.prior.groups] if succinct else range(auction.n)
-    for i in bidders:
-        strat = profile.for_bidder(i)
-        if auction.is_discrete:
-            for v in support_values(auction.prior, i):
-                played = _mixed_row(strat, v) if mixed else {strat.bid_at(v): ONE}
-                fi, H = game.win_mass(i, v)
-                # raw utilities: the interim ones times f_i(v) > 0
-                us = [(v - b) * h for b, h in zip(bids, H)]
+    if auction.is_discrete:
+        for v in support_values(auction.prior, i):
+            if strategy is not None:
+                played = _mixed_row(strategy, v) if mixed else {strategy.bid_at(v): ONE}
+            fi, H = game.win_mass(i, v)
+            # raw utilities: the interim ones times f_i(v) > 0
+            us = [(v - b) * h for b, h in zip(bids, H)]
+            if strategy is None:
+                rows = zip(((b,) for b in bids), us)
+            else:
                 current = ZERO
                 for b, w in played.items():
                     if b not in position:
                         raise ValueError(f"bid {b} at value {v} not in bid space")
                     current += w * us[position[b]]
-                best, best_bid = current, None
-                for b, u in zip(bids, us):
-                    if u > best:
-                        best, best_bid = u, b
-                played_bids = tuple(sorted(b for b, w in played.items() if w > 0))
+                rows = [(tuple(sorted(b for b, w in played.items() if w > 0)), current)]
+            top = max(us)
+            top_bid = bids[us.index(top)]
+            for played_bids, current in rows:
+                best, best_bid = (top, top_bid) if top > current else (current, None)
                 yield i, v, played_bids, best_bid, (best - current) / fi
-            continue
-        if not isinstance(strat, JumpStrategy):
-            raise TypeError("CFPA verification expects jump strategies")
-        for lo, hi in _cfpa_cells(game.prior, i, strat):
-            mid = Fraction(lo + hi, 2)
-            fi, H = game.win_mass(i, mid)
-            if fi == 0:
-                continue  # cell outside the marginal's support
-            cur = strat.bid_at(mid)
-            h = [x / fi for x in H]
-            h_cur = h[position[cur]]
-            for b, hb in zip(bids, h):
-                for vpt in (lo, hi):
-                    yield i, vpt, cur, b, (vpt - b) * hb - (vpt - cur) * h_cur
+        return
+    if not isinstance(strategy, JumpStrategy):
+        raise TypeError("CFPA verification expects jump strategies")
+    for lo, hi in _cfpa_cells(game.pieces[i], strategy):
+        mid = Fraction(lo + hi, 2)
+        fi, H = game.win_mass(i, mid)
+        if fi == 0:
+            continue  # cell outside the marginal's support
+        cur = strategy.bid_at(mid)
+        h = [x / fi for x in H]
+        ends = [(vpt, (vpt - cur) * h[position[cur]]) for vpt in (lo, hi)]
+        for b, hb in zip(bids, h):
+            for vpt, current in ends:
+                yield i, vpt, cur, b, (vpt - b) * hb - current
+
+
+def _deviations(auction: Auction, profile: Profile, mixed: bool):
+    """Every bidder's deviation records against one game of the profile."""
+    succinct = _succinct(auction, profile)
+    game = _Game(auction, profile, succinct)
+    bidders = [g[0] for g in auction.prior.groups] if succinct else range(auction.n)
+    for i in bidders:
+        yield from bidder_deviations(auction, game, i, profile.for_bidder(i), mixed)
 
 
 def _verify(

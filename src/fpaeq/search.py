@@ -7,12 +7,22 @@ Enumeration order is lexicographic over value->bid maps (bidder-major), so
 not affect utilities; they are pinned to the last in-support bid (0 before
 the first) instead of being enumerated, which keeps emitted profiles monotone
 and non-overbidding whenever the enumerated part is.
+
+Candidates are checked against per-bidder deviation tables.  Bidder i's win
+masses depend only on the other seats, so each bidder keeps one table per
+key, the tuple of the other seats' choice indices, shared by every candidate
+with those opponents: on DFPA the deviation gain of every (support value,
+bid), on CFPA the engine's game with its bid table and H memo.  A walk over
+C_0 x ... x C_{n-1} builds at most sum_i prod_{j != i} |C_j| tables, which is
+|C_0| + |C_1| for two bidders; group-symmetric searches, where every seat
+reads its own group's strategy too, build one game per candidate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterator, Sequence
@@ -114,46 +124,95 @@ def _fill_strategy(
     return PureStrategy(bidder, mapping)
 
 
-def _verdict(log: IO[str] | None, auction, profile, eps) -> bool:
-    """The candidate's verdict.  A logged candidate gets the full report
-    and one log line; otherwise the check stops at the first violation."""
-    if log is None:
-        return engine.is_pbne(auction, profile, eps)
-    report = engine.verify_pbne(auction, profile, eps)
-    digest = hashlib.sha256(dumps(profile_to_doc(profile)).encode()).hexdigest()[:12]
-    log.write(f"{digest} {'pass' if report.ok else 'fail'} {report.max_gain}\n")
-    return report.ok
+def _walk(
+    auction: Auction,
+    cfg: SearchConfig,
+    log: IO[str] | None,
+    choices: Sequence[Sequence],
+    make,
+    groups=None,
+) -> SearchResult:
+    """First eps-PBNE in the lexicographic product of ``choices`` (one list
+    per seat), or an exhaustive "none".  ``make(seat, choice)`` builds a
+    seat's strategy, once per choice; DFPA choices are bid tuples aligned
+    with the bidder's support values.  The tables are the module
+    docstring's; on CFPA bidder i's cells still follow its own thresholds.
+    A logged candidate takes the max over all gains and writes one line;
+    otherwise the check stops at the first gain above eps.
+    """
+    count = math.prod(len(ch) for ch in choices)
+    if count > cfg.budget:
+        raise BudgetExceeded(count, cfg.budget)
+    position = {b: k for k, b in enumerate(auction.bids)}
+    built: list[dict] = [{} for _ in choices]
+    tables: list[dict] = [{} for _ in choices]
+
+    def seat(s: int, c: int):
+        """Seat s's strategy for choice c and, on DFPA, its cells in a table."""
+        if c not in built[s]:
+            choice = choices[s][c]
+            cells = None
+            if auction.is_discrete and groups is None:
+                cells = [k * len(position) + position[b] for k, b in enumerate(choice)]
+            built[s][c] = make(s, choice), cells
+        return built[s][c]
+
+    def gains(idx: tuple, profile: Profile):
+        if groups is not None:
+            for record in engine._deviations(auction, profile, False):
+                yield record[-1]
+            return
+        for i, c in enumerate(idx):
+            key = idx[:i] + idx[i + 1 :]
+            if key not in tables[i]:
+                tables[i][key] = _table(auction, profile, i)
+            table = tables[i][key]
+            own, cells = seat(i, c)
+            if cells is not None:
+                yield from map(table.__getitem__, cells)
+                continue
+            for record in engine.bidder_deviations(auction, table, i, own, False):
+                yield record[-1]
+
+    checked = 0
+    for idx in itertools.product(*(range(len(ch)) for ch in choices)):
+        profile = Profile([seat(s, c)[0] for s, c in enumerate(idx)], groups)
+        checked += 1
+        if log is None:
+            ok = all(gain <= cfg.eps for gain in gains(idx, profile))
+        else:
+            max_gain = max(ZERO, *gains(idx, profile))
+            ok = max_gain <= cfg.eps
+            digest = hashlib.sha256(dumps(profile_to_doc(profile)).encode()).hexdigest()[:12]
+            log.write(f"{digest} {'pass' if ok else 'fail'} {max_gain}\n")
+        if ok:
+            return SearchResult("found", profile, checked)
+    return SearchResult("none", None, checked)
+
+
+def _table(auction: Auction, profile: Profile, i: int):
+    """Bidder i's table against the profile's other seats: on DFPA the gains
+    of every (support value, bid), value-major; on CFPA the game."""
+    game = engine._Game(auction, profile, False)
+    if not auction.is_discrete:
+        return game
+    return [record[-1] for record in engine.bidder_deviations(auction, game, i, None, False)]
 
 
 def enumerate_pure_equilibria(
     auction: Auction, cfg: SearchConfig, log: IO[str] | None = None
 ) -> SearchResult:
     """First eps-PBNE in lexicographic order, or an exhaustive "none"."""
-    n = auction.n
     prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        spaces = prior.value_spaces
-    elif isinstance(prior, DiscretePrior):
-        spaces = prior.value_spaces
-    else:
+    if not isinstance(prior, (DiscretePrior, SymmetricDiscretePrior)):
         raise TypeError("pure enumeration applies to discrete instances")
-    supp = [support_values(prior, i) for i in range(n)]
-    choices = [_bid_choices(supp[i], auction.bids, cfg) for i in range(n)]
-    count = 1
-    for ch in choices:
-        count *= len(ch)
-    if count > cfg.budget:
-        raise BudgetExceeded(count, cfg.budget)
-
-    checked = 0
-    for combo in itertools.product(*choices):
-        profile = Profile(
-            [_fill_strategy(i, spaces[i], supp[i], combo[i]) for i in range(n)]
-        )
-        checked += 1
-        if _verdict(log, auction, profile, cfg.eps):
-            return SearchResult("found", profile, checked)
-    return SearchResult("none", None, checked)
+    spaces = prior.value_spaces
+    supp = [support_values(prior, i) for i in range(auction.n)]
+    choices = [_bid_choices(values, auction.bids, cfg) for values in supp]
+    return _walk(
+        auction, cfg, log, choices,
+        lambda i, choice: _fill_strategy(i, spaces[i], supp[i], choice),
+    )
 
 
 def enumerate_symmetric_pure(
@@ -163,28 +222,13 @@ def enumerate_symmetric_pure(
     prior = auction.prior
     if not isinstance(prior, SymmetricDiscretePrior):
         raise TypeError("symmetric enumeration needs a SymmetricDiscretePrior")
-    reps = [g[0] for g in prior.groups]
-    supp = [support_values(prior, i) for i in reps]
-    choices = [
-        _bid_choices(supp[g], auction.bids, cfg) for g in range(len(prior.groups))
-    ]
-    count = 1
-    for ch in choices:
-        count *= len(ch)
-    if count > cfg.budget:
-        raise BudgetExceeded(count, cfg.budget)
-
-    checked = 0
-    for combo in itertools.product(*choices):
-        strategies = [
-            _fill_strategy(g, prior.group_values[g], supp[g], combo[g])
-            for g in range(len(prior.groups))
-        ]
-        profile = Profile(strategies, groups=prior.groups)
-        checked += 1
-        if _verdict(log, auction, profile, cfg.eps):
-            return SearchResult("found", profile, checked)
-    return SearchResult("none", None, checked)
+    supp = [support_values(prior, g[0]) for g in prior.groups]
+    choices = [_bid_choices(values, auction.bids, cfg) for values in supp]
+    return _walk(
+        auction, cfg, log, choices,
+        lambda g, choice: _fill_strategy(g, prior.group_values[g], supp[g], choice),
+        prior.groups,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +265,9 @@ def shrink_bidspace(bids: BidSpace, M: int) -> ShrunkSpace:
 
 def default_jump_grid(auction: Auction, mesh: int | None = None) -> tuple[Fraction, ...]:
     """Candidate thresholds: box arrangement endpoints, optionally refined
-    with the uniform grid of mesh 1/m."""
+    with the uniform grid of mesh 1/m (m >= 1; None for no refinement)."""
+    if mesh is not None and mesh <= 0:
+        raise ValueError("mesh must be a positive integer")
     prior = auction.prior
     if isinstance(prior, IIDMarginal):
         prior = prior.as_box_density(auction.n)
@@ -229,7 +275,7 @@ def default_jump_grid(auction: Auction, mesh: int | None = None) -> tuple[Fracti
     for i in range(prior.n):
         pts.update(prior.axis_breakpoints(i))
     pts.update(auction.bids)
-    if mesh:
+    if mesh is not None:
         pts.update(Fraction(k, mesh) for k in range(mesh + 1))
     return tuple(sorted(pts))
 
@@ -260,10 +306,8 @@ def jump_grid_search(
     thresholds on a finite grid; first profile passing verify_pbne wins."""
     prior = auction.prior
     if isinstance(prior, IIDMarginal):
-        box_prior = prior.as_box_density(auction.n)
-        groups = ((tuple(range(auction.n)),)) if cfg.symmetric else None
+        groups = (tuple(range(auction.n)),) if cfg.symmetric else None
     elif isinstance(prior, BoxDensity):
-        box_prior = prior
         groups = prior.groups if cfg.symmetric else None
     else:
         raise TypeError("jump search applies to continuous instances")
@@ -274,15 +318,8 @@ def jump_grid_search(
 
     vectors = list(_jump_vectors(auction.bids, grid))
     seats = len(groups) if cfg.symmetric else auction.n
-    count = len(vectors) ** seats
-    if count > cfg.budget:
-        raise BudgetExceeded(count, cfg.budget)
-
-    checked = 0
-    for combo in itertools.product(vectors, repeat=seats):
-        strategies = [JumpStrategy(auction.bids, x) for x in combo]
-        profile = Profile(strategies, groups=groups if cfg.symmetric else None)
-        checked += 1
-        if _verdict(log, auction, profile, cfg.eps):
-            return SearchResult("found", profile, checked)
-    return SearchResult("none", None, checked)
+    return _walk(
+        auction, cfg, log, [vectors] * seats,
+        lambda s, x: JumpStrategy(auction.bids, x),
+        groups,
+    )

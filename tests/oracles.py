@@ -5,11 +5,14 @@ obtained by brute-force enumeration over outcomes (not the tie DP), CFPA
 utilities by rectangle-arrangement geometry, and continuous-bid equilibrium
 values by adaptive numerical quadrature.  The exact canonical bid and L are
 also kept as the per-call recursions that re-derive every piece from the
-prior, the references for the densify module's once-built tables.
+prior, the references for the densify module's once-built tables, and the
+searches as the per-candidate walk that verifies every candidate afresh, the
+reference for the search module's shared deviation tables.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -21,8 +24,11 @@ from fpaeq.model import (
     Profile,
     PureStrategy,
     SymmetricDiscretePrior,
+    support_values,
 )
-from fpaeq.engine import _expanded
+from fpaeq.engine import _expanded, verify_pbne
+from fpaeq.search import SearchResult, _bid_choices, _fill_strategy, _jump_vectors
+from fpaeq.serialize import dumps, profile_to_doc
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -171,6 +177,48 @@ def all_pure_profiles(auction: Auction, monotone: bool, values_per_bidder):
     per_bidder = [maps_for(vals) for vals in values_per_bidder]
     for combo in itertools.product(*per_bidder):
         yield combo
+
+
+def ref_search(auction: Auction, cfg, kind: str, log=None, grid=None) -> SearchResult:
+    """The searches' lexicographic walk with every candidate built afresh and
+    run through ``verify_pbne``, logging one ``digest pass|fail max_gain``
+    line per candidate.  ``kind`` is "pure" (per bidder), "symmetric" (per
+    group, discrete) or "jump" (``grid`` thresholds, per group when
+    ``cfg.symmetric``)."""
+    prior = auction.prior
+    groups = None
+    if kind == "jump":
+        if cfg.symmetric:
+            groups = getattr(prior, "groups", None) or (tuple(range(auction.n)),)
+        vectors = list(_jump_vectors(auction.bids, grid))
+        choices = [vectors] * (len(groups) if groups else auction.n)
+
+        def make(s, x):
+            return JumpStrategy(auction.bids, x)
+    else:
+        if kind == "symmetric":
+            groups = prior.groups
+            spaces, reps = prior.group_values, [g[0] for g in groups]
+        else:
+            spaces, reps = prior.value_spaces, range(auction.n)
+        supp = [support_values(prior, i) for i in reps]
+        choices = [_bid_choices(values, auction.bids, cfg) for values in supp]
+
+        def make(s, choice):
+            return _fill_strategy(s, spaces[s], supp[s], choice)
+
+    checked = 0
+    for combo in itertools.product(*choices):
+        profile = Profile([make(s, c) for s, c in enumerate(combo)], groups=groups)
+        checked += 1
+        report = verify_pbne(auction, profile, cfg.eps)
+        if log is not None:
+            doc = dumps(profile_to_doc(profile))
+            digest = hashlib.sha256(doc.encode()).hexdigest()[:12]
+            log.write(f"{digest} {'pass' if report.ok else 'fail'} {report.max_gain}\n")
+        if report.ok:
+            return SearchResult("found", profile, checked)
+    return SearchResult("none", None, checked)
 
 
 def quad_beta_iid(marginal, n: int, x: float, dps: int = 30) -> float:

@@ -192,6 +192,25 @@ class TestSearchVerbs:
             "0", "1/5", "1/2", "7/10", "1",
         ]
 
+    @pytest.mark.parametrize("mesh", ["0", "-2"])
+    def test_nonpositive_mesh_is_a_usage_error(self, capsys, tmp_path, mesh):
+        doc = {
+            "kind": "cfpa-iid",
+            "bids": ["0", "1/4"],
+            "n": 2,
+            "breakpoints": ["0", "1/2", "1"],
+            "densities": ["1", "1"],
+        }
+        inst = tmp_path / "iid.json"
+        inst.write_text(dumps(doc))
+        out_path = tmp_path / "found.json"
+        argv = ["jump-search", "--instance", inst, "--out", out_path, f"--mesh={mesh}"]
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        assert "--mesh" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestReductionVerbs:
     def test_from_sat_encode_extract_verify(self, capsys, tmp_path):

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fpaeq import engine
 from fpaeq.engine import check_monotone, verify_pbne
 from fpaeq.model import (
     Auction,
@@ -25,8 +28,12 @@ from fpaeq.search import (
     jump_grid_search,
     shrink_bidspace,
 )
-from conftest import random_discrete_auction
-from oracles import all_pure_profiles
+from conftest import (
+    nested_cube_sapv,
+    random_discrete_auction,
+    random_symmetric_auction,
+)
+from oracles import all_pure_profiles, ref_search
 
 F = Fraction
 ZERO = F(0)
@@ -275,6 +282,13 @@ class TestJumpGridSearch:
         assert result.found
         assert result.profile.groups == ((0, 1),)
 
+    def test_nonpositive_mesh_rejected(self, uniform_box2):
+        for mesh in (0, -2):
+            with pytest.raises(ValueError, match="mesh"):
+                default_jump_grid(uniform_box2, mesh=mesh)
+        unrefined = default_jump_grid(uniform_box2)
+        assert set(unrefined) < set(default_jump_grid(uniform_box2, mesh=8))
+
     def test_budget_counts_vectors(self, uniform_box2):
         grid = default_jump_grid(uniform_box2, mesh=4)
         per_bidder = count_jump_vectors(uniform_box2.bids, grid)
@@ -285,3 +299,84 @@ class TestJumpGridSearch:
                 grid=grid,
             )
         assert exc.value.count == per_bidder**2
+
+
+SEARCH_SETTINGS = settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _same_as_reference(auc, cfg, kind, grid=None):
+    """Logged and unlogged runs agree with the per-candidate reference on
+    status, checked, profile and log text."""
+    run = {
+        "pure": enumerate_pure_equilibria,
+        "symmetric": enumerate_symmetric_pure,
+        "jump": lambda a, c, log: jump_grid_search(a, c, grid=grid, log=log),
+    }[kind]
+    ref_log, log = io.StringIO(), io.StringIO()
+    ref = ref_search(auc, cfg, kind, log=ref_log, grid=grid)
+    for result in (run(auc, cfg, log=log), run(auc, cfg, log=None)):
+        assert (result.status, result.checked) == (ref.status, ref.checked)
+        assert result.profile == ref.profile
+    assert log.getvalue() == ref_log.getvalue()
+
+
+class TestMatchesReference:
+    @SEARCH_SETTINGS
+    @given(
+        rng=st.randoms(use_true_random=False),
+        kind=st.sampled_from(["discrete", "symmetric-prior", "symmetric"]),
+        eps=st.sampled_from([ZERO, F(1, 20)]),
+        monotone=st.booleans(),
+    )
+    def test_discrete(self, rng, kind, eps, monotone):
+        if kind == "discrete":
+            auc = random_discrete_auction(rng)
+        else:
+            auc = random_symmetric_auction(rng)
+        cfg = SearchConfig(eps=eps, monotone_only=monotone)
+        _same_as_reference(auc, cfg, "symmetric" if kind == "symmetric" else "pure")
+
+    @SEARCH_SETTINGS
+    @given(
+        rng=st.randoms(use_true_random=False),
+        symmetric=st.booleans(),
+        eps=st.sampled_from([ZERO, F(1, 20)]),
+    )
+    def test_jump(self, rng, symmetric, eps):
+        auc = nested_cube_sapv(rng)
+        auc = Auction(BidSpace(list(auc.bids)[: rng.randint(2, 3)]), auc.prior)
+        grid = sorted(rng.sample([F(k, 8) for k in range(9)], 3))
+        _same_as_reference(auc, SearchConfig(eps=eps, symmetric=symmetric), "jump", grid)
+
+
+class TestSharedTables:
+    """Bidder i's table depends on the other seats only: a 2-bidder walk
+    builds at most one game per choice of each seat."""
+
+    @pytest.fixture
+    def games(self, monkeypatch):
+        built = []
+
+        class Counting(engine._Game):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_Game", Counting)
+        return built
+
+    def test_enumerate_pure(self, prop34, games):
+        auc = Auction(BidSpace([F(k, 7) for k in range(8)]), prop34.prior)
+        result = enumerate_pure_equilibria(auc, SearchConfig(monotone_only=True))
+        assert (result.status, result.checked) == ("none", 26 * 26)
+        assert 0 < len(games) <= 26 + 26
+
+    def test_jump_grid_search(self, uniform_box2, games):
+        auc = Auction(BidSpace([0, F(1, 4), F(1, 2)]), uniform_box2.prior)
+        grid = default_jump_grid(auc, mesh=4)
+        vectors = count_jump_vectors(auc.bids, grid)
+        result = jump_grid_search(auc, SearchConfig(eps=ZERO), grid=grid)
+        assert (result.status, result.checked) == ("none", vectors**2)
+        assert 0 < len(games) <= 2 * vectors
