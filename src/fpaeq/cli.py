@@ -25,10 +25,12 @@ from . import densify as densify_mod
 from . import engine, reduction, search
 from .model import (
     Auction,
+    BoxDensity,
     IIDMarginal,
     JumpStrategy,
     MixedStrategy,
     Profile,
+    PureStrategy,
     rat,
     validate_instance,
     validate_profile,
@@ -84,32 +86,42 @@ def _positive_int(text: str) -> int:
     return k
 
 
-def _load_instance(path: str) -> Auction:
+def _load(loader, path: str):
+    """``loader(path)`` with I/O and parse failures mapped to their exit codes."""
     try:
-        auction = load_instance(path)
+        return loader(path)
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
     except (FormatError, json.JSONDecodeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, "parse", f"{path}: {exc}")
+
+
+def _load_instance(path: str) -> Auction:
+    auction = _load(load_instance, path)
     report = validate_instance(auction)
     if not report.ok:
-        raise CliError(EXIT_VALIDATION, "validation", "; ".join(report.violations))
+        raise _invalid(report.violations)
     return auction
 
 
 def _load_profile(path: str, auction: Auction | None = None) -> Profile:
     """Load a profile; with ``auction``, reject one that does not fit it."""
-    try:
-        profile = load_profile(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
-    except (FormatError, json.JSONDecodeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, "parse", f"{path}: {exc}")
+    profile = _load(load_profile, path)
     if auction is not None:
         report = validate_profile(profile, auction)
         if not report.ok:
-            raise CliError(EXIT_VALIDATION, "validation", "; ".join(report.violations))
+            raise _invalid(report.violations)
     return profile
+
+
+def _invalid(violations) -> CliError:
+    return CliError(EXIT_VALIDATION, "validation", "; ".join(violations))
+
+
+def _bidder(auction: Auction, i: int) -> int:
+    if not 0 <= i < auction.n:
+        raise _invalid([f"bidder {i} out of range 0..{auction.n - 1}"])
+    return i
 
 
 def _read_text(path: str) -> str:
@@ -163,12 +175,7 @@ def _violations_doc(report: engine.VerificationReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        auction = load_instance(args.instance)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{args.instance}: {exc.strerror or exc}")
-    except (FormatError, json.JSONDecodeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, "parse", f"{args.instance}: {exc}")
+    auction = _load(load_instance, args.instance)
     report = validate_instance(auction)
     print(dumps({"ok": report.ok, "violations": list(report.violations)}), end="")
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -178,7 +185,7 @@ def cmd_marginal(args) -> int:
     auction = _load_instance(args.instance)
     from .model import marginal
 
-    m = marginal(auction.prior, args.bidder)
+    m = marginal(auction.prior, _bidder(auction, args.bidder))
     if isinstance(m, IIDMarginal):
         doc = {
             "breakpoints": [fmt(a) for a in m.breakpoints],
@@ -193,9 +200,8 @@ def cmd_marginal(args) -> int:
 def cmd_utility(args) -> int:
     auction = _load_instance(args.instance)
     profile = _load_profile(args.profile, auction)
-    u = engine.utility(
-        auction, args.bidder, args.value, args.bid, profile, raw=args.raw
-    )
+    i = _bidder(auction, args.bidder)
+    u = engine.utility(auction, i, args.value, args.bid, profile, raw=args.raw)
     print(fmt(u))
     return EXIT_OK
 
@@ -203,8 +209,9 @@ def cmd_utility(args) -> int:
 def cmd_best_response(args) -> int:
     auction = _load_instance(args.instance)
     profile = _load_profile(args.profile, auction)
+    i = _bidder(auction, args.bidder)
     rep = engine.best_response(
-        auction, args.bidder, args.value, profile, no_overbidding=not args.allow_overbid
+        auction, i, args.value, profile, no_overbidding=not args.allow_overbid
     )
     print(
         dumps(
@@ -251,47 +258,32 @@ def _emit_search(result: search.SearchResult, out: str | None) -> int:
     return EXIT_SEARCH_NONE
 
 
-def _open_log(args):
-    if getattr(args, "log", None):
-        return open(args.log, "w", encoding="utf-8")
-    return None
+def _search(args, run) -> int:
+    """``run(log)`` with the --log file, if any, open; then emit the result."""
+    log = open(args.log, "w", encoding="utf-8") if getattr(args, "log", None) else None
+    try:
+        result = run(log)
+    finally:
+        if log:
+            log.close()
+    return _emit_search(result, args.out)
 
 
 def cmd_solve_pure(args) -> int:
-    auction = _load_instance(args.instance)
-    log = _open_log(args)
-    try:
-        result = search.enumerate_pure_equilibria(auction, _search_config(args), log)
-    finally:
-        if log:
-            log.close()
-    return _emit_search(result, args.out)
+    auction, cfg = _load_instance(args.instance), _search_config(args)
+    return _search(args, lambda log: search.enumerate_pure_equilibria(auction, cfg, log))
 
 
 def cmd_solve_symmetric(args) -> int:
-    auction = _load_instance(args.instance)
-    log = _open_log(args)
-    try:
-        result = search.enumerate_symmetric_pure(auction, _search_config(args), log)
-    finally:
-        if log:
-            log.close()
-    return _emit_search(result, args.out)
+    auction, cfg = _load_instance(args.instance), _search_config(args)
+    return _search(args, lambda log: search.enumerate_symmetric_pure(auction, cfg, log))
 
 
 def cmd_jump_search(args) -> int:
     auction = _load_instance(args.instance)
     grid = search.default_jump_grid(auction, mesh=args.mesh)
-    cfg = search.SearchConfig(
-        eps=args.eps, symmetric=args.symmetric, budget=args.budget
-    )
-    log = _open_log(args)
-    try:
-        result = search.jump_grid_search(auction, cfg, grid=grid, log=log)
-    finally:
-        if log:
-            log.close()
-    return _emit_search(result, args.out)
+    cfg = search.SearchConfig(eps=args.eps, symmetric=args.symmetric, budget=args.budget)
+    return _search(args, lambda log: search.jump_grid_search(auction, cfg, grid, log))
 
 
 def cmd_shrink(args) -> int:
@@ -356,6 +348,12 @@ def cmd_encode(args) -> int:
 def cmd_extract(args) -> int:
     rmap = reduction.map_from_doc(_load_json(args.map))
     profile = _load_profile(args.profile)
+    if profile.groups is not None or len(profile.strategies) != rmap.n:
+        raise _invalid([f"extract needs one strategy per bidder for {rmap.n} bidders"])
+    for i in (lits[0] for lits in rmap.var_literals):
+        s = profile.strategies[i]
+        if not (isinstance(s, PureStrategy) and set(reduction.VALUES) <= set(s.as_dict)):
+            raise _invalid([f"literal bidder {i} needs a pure strategy over its values"])
     assignment = reduction.extract_assignment(profile, rmap)
     if assignment is None:
         print(dumps({"status": "non-encoding"}), end="")
@@ -383,7 +381,11 @@ def cmd_lift(args) -> int:
 
 def cmd_project(args) -> int:
     auction = _load_instance(args.instance)
-    profile = _load_profile(args.profile)
+    if not auction.is_discrete:
+        raise _invalid([f"project needs a discrete instance, got {auction.kind}"])
+    # the profile must fit the instance's lift: same bids, bidders and groups
+    shape = BoxDensity(auction.n, (), getattr(auction.prior, "groups", None))
+    profile = _load_profile(args.profile, Auction(auction.bids, shape))
     projected = reduction.project_strategy(profile, auction, args.delta)
     if args.out:
         save_profile(projected, args.out)
@@ -436,17 +438,12 @@ def cmd_check_affiliation(args) -> int:
 
 def cmd_emit_plot(args) -> int:
     auction = _load_instance(args.instance)
-    try:
-        strategy = load_strategy(args.strategy)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{args.strategy}: {exc.strerror or exc}")
-    except (FormatError, json.JSONDecodeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, "parse", f"{args.strategy}: {exc}")
+    strategy = _load(load_strategy, args.strategy)
     if not isinstance(strategy, JumpStrategy):
         raise CliError(EXIT_PARSE, "parse", "emit-plot expects a jump strategy")
     rep = validate_strategy(strategy, auction)
     if not rep.ok:
-        raise CliError(EXIT_VALIDATION, "validation", "; ".join(rep.violations))
+        raise _invalid(rep.violations)
     rows = ["v,bid"]
     k = args.grid
     for t in range(k + 1):

@@ -19,7 +19,6 @@ certified bound 2*gamma*(delta + 2*eps).
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,14 +185,8 @@ def _require_symmetric_boxes(prior: BoxDensity) -> None:
     if prior.groups is not None:
         if len(prior.groups) != 1:
             raise UnsupportedPrior("canonical equilibrium needs one symmetric group")
-        return
-    expanded = set(prior.expanded_boxes)
-    for lo, hi, w in prior.expanded_boxes:
-        ivs = tuple(zip(lo, hi))
-        for perm in itertools.permutations(range(prior.n)):
-            p = tuple(ivs[k] for k in perm)
-            if (tuple(a for a, _ in p), tuple(b for _, b in p), w) not in expanded:
-                raise UnsupportedPrior("box list is not permutation symmetric")
+    elif not prior.permutation_symmetric:
+        raise UnsupportedPrior("box list is not permutation symmetric")
 
 
 def _sapv_table(prior: BoxDensity):
@@ -324,16 +317,8 @@ def bid_denseness(auction: Auction) -> Fraction:
 
 
 def _sapv_density_range(prior: BoxDensity) -> tuple[Fraction, Fraction]:
-    axis_cuts = [prior.axis_breakpoints(i) for i in range(prior.n)]
-    axis_mids = [
-        [Fraction(c1 + c2, 2) for c1, c2 in zip(cuts, cuts[1:])] for cuts in axis_cuts
-    ]
-    lo = hi = None
-    for pt in itertools.product(*axis_mids):
-        d = prior.density_at(pt)
-        lo = d if lo is None else min(lo, d)
-        hi = d if hi is None else max(hi, d)
-    return lo, hi
+    densities = [d for _, d in prior.cell_densities]
+    return min(densities), max(densities)
 
 
 def lipschitz_bound(auction: Auction) -> Fraction:

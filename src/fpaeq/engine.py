@@ -11,21 +11,26 @@ The fast path computes the win-mass vector ``f_i(v) * H(b)`` for every bid
 at once, in three pieces:
 
 * scenarios -- one generator per prior kind (explicit discrete, group-succinct
-  discrete with its arrangement counts, boxes, grouped boxes) yields, for
+  discrete with its arrangement counts, boxes, grouped boxes, iid) yields, for
   bidder i at value v, ``f_i(v)`` and the ``(mass, opponents)`` of every
   conditional scenario; an opponent is a (seat, value) or (seat, interval)
   pair.  Discrete supports are indexed by (bidder, own value) once per prior.
+  An iid marginal yields one scenario whose n-1 opponents are each averaged
+  over the whole marginal, with no k^n product boxes.
 * bid table -- per profile, each opponent's tie mass g and strictly-below
-  mass G for every bid, built on first use and shared by all scenarios.
+  mass G for every bid, built on first use and shared by all scenarios and
+  by the seats that hold one strategy object.
 * kernel -- one pass over the scenarios for all bids.  It skips opponents
-  surely below (G = 1), counts those surely tying (g = 1) without the DP, and
-  drops the scenario as soon as one opponent is surely above (g = G = 0).
+  surely below (G = 1), counts those surely tying (g = 1) without the DP,
+  drops the scenario as soon as one opponent is surely above (g = G = 0),
+  and folds c split opponents sharing one row into a closed form.
 
 Utilities, best responses, verification and the search's candidate check
 all read that vector.  Verification runs :func:`bidder_deviations`, one
 deviation loop per (bidder, value) -- per cell for CFPA -- for each bidder
-against one game; ``verify_pbne`` runs it to the end and ``is_pbne`` stops at
-the first violation.  The search runs it per bidder against games it shares
+against one game, or for bidder 0 alone when every seat of an iid prior plays
+one strategy; ``verify_pbne`` runs it to the end and ``is_pbne`` stops at the
+first violation.  The search runs it per bidder against games it shares
 between candidates with the same opponents.
 
 Utilities come in two normalizations:
@@ -39,7 +44,6 @@ Utilities come in two normalizations:
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,10 +140,6 @@ def _mixed_row(strategy, value: Fraction) -> dict[Fraction, Fraction]:
     raise TypeError(f"need a pure or mixed strategy, got {type(strategy).__name__}")
 
 
-def _expanded(prior: SymmetricDiscretePrior) -> DiscretePrior:
-    return prior.expanded
-
-
 def _arrangements(block: tuple) -> int:
     """Distinct orderings of a multiset."""
     m = factorial(len(block))
@@ -228,6 +228,14 @@ def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
     return fi, scenarios
 
 
+def _iid_scenarios(n: int, prior: IIDMarginal, i: int, v: Fraction):
+    """One scenario of conditional mass 1, the other seats as (seat, None);
+    f_i(v) sums the densities of the positive pieces whose closed interval
+    holds v, as the box expansion does."""
+    fi = sum((p for a, c, p in prior.pieces if a <= v <= c), ZERO)
+    return fi, [(ONE, tuple((j, None) for j in range(n) if j != i))]
+
+
 def _box_mass(weight: Fraction, opponents) -> Fraction | None:
     """weight times the opponents' edge lengths; None for a flat box."""
     for _, (a, c) in opponents:
@@ -257,29 +265,36 @@ def _kind(g: Fraction, G: Fraction) -> int:
 
 class _BidTable(dict):
     """(seat, point) -> (kinds, gs, Gs) over the bids, computed on first
-    lookup; ``kinds[k]`` says which shortcut, if any, applies at bid k."""
+    lookup; seats holding the same strategy object share one row, which the
+    kernel folds.  ``kinds[k]`` says which shortcut, if any, applies at bid k."""
 
-    def __init__(self, masses):
+    def __init__(self, seat, masses):
         super().__init__()
-        self._masses = masses  # (seat, point) -> (gs, Gs)
+        self._seat = seat
+        self._masses = masses  # (strategy, point) -> (gs, Gs)
+        self._rows: dict = {}  # (id(strategy), point) -> row
 
     def __missing__(self, key):
-        gs, Gs = self._masses(*key)
-        row = self[key] = (bytes(map(_kind, gs, Gs)), gs, Gs)
+        s, point = key
+        strategy = self._seat(s)
+        shared = id(strategy), point
+        if shared not in self._rows:
+            gs, Gs = self._masses(strategy, point)
+            self._rows[shared] = (bytes(map(_kind, gs, Gs)), gs, Gs)
+        row = self[key] = self._rows[shared]
         return row
 
 
-def _discrete_masses(seat, bids, s, value: Fraction):
-    """Tie and strictly-below masses of seat s's row at ``value``, per bid."""
-    row = _mixed_row(seat(s), value)
+def _discrete_masses(bids, strategy, value: Fraction):
+    """Tie and strictly-below masses of the strategy's row at ``value``, per bid."""
+    row = _mixed_row(strategy, value)
     gs = [row.get(b, ZERO) for b in bids]
     Gs = [sum((w for bb, w in row.items() if bb < b), ZERO) for b in bids]
     return gs, Gs
 
 
-def _jump_masses(seat, positions, s, interval):
+def _jump_masses(positions, strategy, interval):
     """Tie and strictly-below length fractions of the interval, per bid."""
-    strategy = seat(s)
     if not isinstance(strategy, JumpStrategy):
         raise TypeError("CFPA opponents must play jump strategies")
     lo, hi = interval
@@ -289,35 +304,54 @@ def _jump_masses(seat, positions, s, interval):
     return gs, Gs
 
 
+def _iid_masses(positions, pieces, strategy, _):
+    """Tie and strictly-below masses per bid, averaged over the marginal:
+    sum_j p_j * (length of piece j mapped to exactly / strictly below b)."""
+    if not isinstance(strategy, JumpStrategy):
+        raise TypeError("CFPA opponents must play jump strategies")
+    at, below = strategy.mass_at_bid, strategy.mass_below_bid
+    gs = [sum((p * at(jb, a, c) for a, c, p in pieces), ZERO) for jb in positions]
+    Gs = [sum((p * below(jb, a, c) for a, c, p in pieces), ZERO) for jb in positions]
+    return gs, Gs
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
 
 def _win_masses(scenarios, table: _BidTable, nbids: int) -> list[Fraction]:
-    """sum over scenarios of mass * P(win with bid k), for every bid k."""
+    """sum over scenarios of mass * P(win with bid k), for every bid k.
+
+    c split opponents sharing one row, and no sure ties, win with probability
+    sum_r C(c,r) g^r G^(c-r) / (r+1) = ((G+g)^(c+1) - G^(c+1)) / ((c+1) g),
+    or G^c when g = 0; anything else goes through the tie DP."""
     H = [ZERO] * nbids
     for mass, opponents in scenarios:
         rows = [table[o] for o in opponents]
         for k in range(nbids):
             ties = 0
-            gs, Gs = [], []
-            for kinds, g, G in rows:
-                kind = kinds[k]
+            split = []
+            for row in rows:
+                kind = row[0][k]
                 if kind == _SPLIT:
-                    gs.append(g[k])
-                    Gs.append(G[k])
+                    split.append(row)
                 elif kind == _TIE:
                     ties += 1
                 elif kind == _ABOVE:
                     break
             else:
-                if gs:
-                    T = tie_dp(gs, Gs)
+                if not split:
+                    H[k] += mass / (ties + 1) if ties else mass
+                elif not ties and all(row is split[0] for row in split):
+                    g, G, c = split[0][1][k], split[0][2][k], len(split)
+                    H[k] += mass * (
+                        ((G + g) ** (c + 1) - G ** (c + 1)) / ((c + 1) * g) if g else G**c
+                    )
+                else:
+                    T = tie_dp([r[1][k] for r in split], [r[2][k] for r in split])
                     H[k] += mass * sum(
                         (t / (r + ties + 1) for r, t in enumerate(T)), ZERO
                     )
-                else:
-                    H[k] += mass / (ties + 1) if ties else mass
     return H
 
 
@@ -333,30 +367,35 @@ class _Game:
         prior = auction.prior
         self.bids = tuple(auction.bids if bids is None else bids)
         self._memo: dict = {}
+        self._iid = isinstance(prior, IIDMarginal)
         seat = profile.strategies.__getitem__ if succinct else profile.for_bidder
         if auction.is_discrete:
             if succinct:
                 self._scenarios = _group_scenarios
             else:
-                prior = _expanded(prior) if isinstance(prior, SymmetricDiscretePrior) else prior
+                prior = prior.expanded if isinstance(prior, SymmetricDiscretePrior) else prior
                 self._scenarios = _discrete_scenarios
             self.pieces = None
-            masses = partial(_discrete_masses, seat, self.bids)
+            masses = partial(_discrete_masses, self.bids)
         else:
-            if isinstance(prior, IIDMarginal):
-                prior = prior.as_box_density(auction.n)
-            if not isinstance(prior, BoxDensity):
-                raise TypeError(f"unsupported prior {type(prior).__name__}")
-            self._scenarios = _grouped_box_scenarios if succinct else _box_scenarios
-            # H is constant while v stays inside one piece of the axis cuts
-            self.pieces = [prior.axis_breakpoints(i) for i in range(prior.n)]
             positions = [auction.bids.index(b) for b in self.bids]
-            masses = partial(_jump_masses, seat, positions)
+            if self._iid:
+                self._scenarios = partial(_iid_scenarios, auction.n)
+                masses = partial(_iid_masses, positions, prior.pieces)
+            elif isinstance(prior, BoxDensity):
+                self._scenarios = _grouped_box_scenarios if succinct else _box_scenarios
+                masses = partial(_jump_masses, positions)
+            else:
+                raise TypeError(f"unsupported prior {type(prior).__name__}")
+            # H is constant while v stays inside one piece of the axis cuts
+            self.pieces = [prior.axis_breakpoints(i) for i in range(auction.n)]
         self.prior = prior
-        self._table = _BidTable(masses)
+        self._table = _BidTable(seat, masses)
 
-    def win_mass(self, i: int, v: Fraction):
-        """(f_i(v), [f_i(v) * H_i(b; v) for b in bids]); no vector when
+    def vector(self, i: int, v: Fraction):
+        """(f_i(v), [f_i(v) * H_i(b; v) for b in bids]) on DFPA, memoised per
+        (bidder, value); (f_i(v), [H_i(b; v) for b in bids]) on CFPA,
+        normalised once per piece of the axis cuts.  No vector when
         f_i(v) = 0."""
         if self.pieces is None:
             key = (i, v)
@@ -365,9 +404,26 @@ class _Game:
             key = (i, bisect_left(cuts, v), bisect_right(cuts, v))
         if key not in self._memo:
             fi, scenarios = self._scenarios(self.prior, i, v)
-            H = _win_masses(scenarios, self._table, len(self.bids)) if fi != 0 else None
-            self._memo[key] = fi, H
+            vec = None
+            if fi != 0 and self._iid:
+                # the opponents, hence H, do not depend on v: one kernel per bidder
+                if (i,) not in self._memo:
+                    self._memo[i,] = _win_masses(scenarios, self._table, len(self.bids))
+                vec = self._memo[i,]
+            elif fi != 0:
+                vec = _win_masses(scenarios, self._table, len(self.bids))
+                if self.pieces is not None:
+                    vec = [x / fi for x in vec]
+            self._memo[key] = fi, vec
         return self._memo[key]
+
+    def win_mass(self, i: int, v: Fraction):
+        """(f_i(v), [f_i(v) * H_i(b; v) for b in bids]); no vector when
+        f_i(v) = 0."""
+        fi, vec = self.vector(i, v)
+        if self.pieces is None or vec is None:
+            return fi, vec
+        return fi, [fi * x for x in vec]
 
     def supported(self, i: int, v: Fraction):
         fi, H = self.win_mass(i, v)
@@ -455,16 +511,14 @@ def utility_cfpa(
     opponents: Profile,
     raw: bool = False,
 ) -> Fraction:
-    """Interim utility in a box-density CFPA against jump-strategy opponents.
+    """Interim utility in a box or iid CFPA against jump-strategy opponents.
 
     Within each conditional-support box the opponents' values are independent
-    and uniform per coordinate, so the tie DP runs on per-coordinate length
-    fractions.
+    and uniform per coordinate; iid opponents are averaged over the marginal.
     """
     if not isinstance(auction.prior, (BoxDensity, IIDMarginal)):
         raise TypeError("utility_cfpa needs a BoxDensity or IIDMarginal prior")
-    game = _Game(auction, opponents, False, [rat(b)])
-    return game.utilities(i, rat(v), raw)[0]
+    return _Game(auction, opponents, False, [rat(b)]).utilities(i, rat(v), raw)[0]
 
 
 def utility_cfpa_symmetric(
@@ -481,8 +535,7 @@ def utility_cfpa_symmetric(
         raise TypeError("utility_cfpa_symmetric needs a grouped BoxDensity")
     if profile.groups is None:
         raise ValueError("symmetric utility requires a per-group profile")
-    game = _Game(auction, profile, True, [rat(b)])
-    return game.utilities(i, rat(v), raw)[0]
+    return _Game(auction, profile, True, [rat(b)]).utilities(i, rat(v), raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -559,38 +612,20 @@ def check_affiliation(prior) -> tuple[bool, tuple | None]:
     if isinstance(prior, IIDMarginal):
         return True, None
     if isinstance(prior, SymmetricDiscretePrior):
-        prior = _expanded(prior)
+        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
-        pts = [t for t, _ in prior.support]
-        f = prior.mass
-        for a in pts:
-            for b in pts:
-                join = tuple(max(x, y) for x, y in zip(a, b))
-                meet = tuple(min(x, y) for x, y in zip(a, b))
-                if f(join) * f(meet) < f(a) * f(b):
-                    return False, (a, b)
-        return True, None
-    if isinstance(prior, BoxDensity):
-        axis_cuts = [prior.axis_breakpoints(i) for i in range(prior.n)]
-        axis_mids = [
-            [Fraction(c1 + c2, 2) for c1, c2 in zip(cuts, cuts[1:])]
-            for cuts in axis_cuts
-        ]
-        cells = [
-            pt
-            for pt in itertools.product(*axis_mids)
-            if prior.density_at(pt) > 0
-        ]
-        for a in cells:
-            for b in cells:
-                join = tuple(max(x, y) for x, y in zip(a, b))
-                meet = tuple(min(x, y) for x, y in zip(a, b))
-                lhs = prior.density_at(join) * prior.density_at(meet)
-                rhs = prior.density_at(a) * prior.density_at(b)
-                if lhs < rhs:
-                    return False, (a, b)
-        return True, None
-    raise TypeError(f"unsupported prior {type(prior).__name__}")
+        pts, f = [t for t, _ in prior.support], prior.mass
+    elif isinstance(prior, BoxDensity):
+        pts, f = [pt for pt, d in prior.cell_densities if d > 0], prior.density_at
+    else:
+        raise TypeError(f"unsupported prior {type(prior).__name__}")
+    for a in pts:
+        for b in pts:
+            join = tuple(max(x, y) for x, y in zip(a, b))
+            meet = tuple(min(x, y) for x, y in zip(a, b))
+            if f(join) * f(meet) < f(a) * f(b):
+                return False, (a, b)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +681,10 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bo
         raise TypeError("CFPA verification expects jump strategies")
     for lo, hi in _cfpa_cells(game.pieces[i], strategy):
         mid = Fraction(lo + hi, 2)
-        fi, H = game.win_mass(i, mid)
+        fi, h = game.vector(i, mid)
         if fi == 0:
             continue  # cell outside the marginal's support
         cur = strategy.bid_at(mid)
-        h = [x / fi for x in H]
         ends = [(vpt, (vpt - cur) * h[position[cur]]) for vpt in (lo, hi)]
         for b, hb in zip(bids, h):
             for vpt, current in ends:
@@ -661,6 +695,12 @@ def _deviations(auction: Auction, profile: Profile, mixed: bool):
     """Every bidder's deviation records against one game of the profile."""
     succinct = _succinct(auction, profile)
     game = _Game(auction, profile, succinct)
+    first = profile.strategies[0]
+    if game._iid and all(s == first for s in profile.strategies):
+        # exchangeable seats: check bidder 0 once, replay its records per seat
+        records = list(bidder_deviations(auction, game, 0, first, mixed))
+        yield from ((i,) + r[1:] for i in range(auction.n) for r in records)
+        return
     bidders = [g[0] for g in auction.prior.groups] if succinct else range(auction.n)
     for i in bidders:
         yield from bidder_deviations(auction, game, i, profile.for_bidder(i), mixed)

@@ -244,6 +244,24 @@ class BoxDensity:
             total += w * vol
         return total
 
+    @cached_property
+    def permutation_symmetric(self) -> bool:
+        """Every coordinate permutation of every box is in the box list
+        (checked once per prior: n! images per box)."""
+        expanded = set(self.expanded_boxes)
+        return all(
+            (tuple(lo[k] for k in perm), tuple(hi[k] for k in perm), w) in expanded
+            for lo, hi, w in self.expanded_boxes
+            for perm in itertools.permutations(range(self.n))
+        )
+
+    @cached_property
+    def cell_densities(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        """(midpoint, density) of every cell of the grid of axis cuts."""
+        cuts = [self.axis_breakpoints(i) for i in range(self.n)]
+        mids = [[(a + b) / 2 for a, b in zip(c, c[1:])] for c in cuts]
+        return tuple((pt, self.density_at(pt)) for pt in itertools.product(*mids))
+
     def axis_breakpoints(self, i: int) -> tuple[Fraction, ...]:
         pts = {ZERO, ONE}
         for lo, hi, _ in self.expanded_boxes:
@@ -301,15 +319,21 @@ class IIDMarginal:
                 return self.breakpoints[j]
         raise ValueError("marginal has empty support")
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """(left, right, density) of every positive-density piece."""
+        a = self.breakpoints
+        return tuple((a[j], a[j + 1], p) for j, p in enumerate(self.densities) if p > 0)
+
+    def axis_breakpoints(self, i: int) -> tuple[Fraction, ...]:
+        """Every bidder's axis cuts: 0, 1 and the ends of the positive-density
+        pieces, as in the product box expansion."""
+        return tuple(sorted({ZERO, ONE}.union(*((a, c) for a, c, _ in self.pieces))))
+
     def as_box_density(self, n: int) -> BoxDensity:
         """Expand the product of n iid marginals into a plain BoxDensity."""
-        pieces = [
-            (self.breakpoints[j], self.breakpoints[j + 1], p)
-            for j, p in enumerate(self.densities)
-            if p > 0
-        ]
         boxes = []
-        for combo in itertools.product(pieces, repeat=n):
+        for combo in itertools.product(self.pieces, repeat=n):
             lo = tuple(c[0] for c in combo)
             hi = tuple(c[1] for c in combo)
             w = ONE
@@ -572,19 +596,9 @@ def marginal(prior: Prior, i: int, n: int | None = None):
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
         cuts = prior.axis_breakpoints(i)
-        densities = []
-        for lo_c, hi_c in zip(cuts, cuts[1:]):
-            mid_num = lo_c + hi_c
-            d = ZERO
-            for lo, hi, w in prior.expanded_boxes:
-                if 2 * lo[i] <= mid_num <= 2 * hi[i]:
-                    sect = w
-                    for j in range(prior.n):
-                        if j != i:
-                            sect *= hi[j] - lo[j]
-                    d += sect
-            densities.append(d)
-        return IIDMarginal(cuts, densities)
+        return IIDMarginal(
+            cuts, [_box_marginal(prior, i, (a + b) / 2) for a, b in zip(cuts, cuts[1:])]
+        )
     raise TypeError(f"unsupported prior: {type(prior).__name__}")
 
 
@@ -596,15 +610,7 @@ def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
     """
     v = rat(v)
     if isinstance(prior, BoxDensity):
-        total = ZERO
-        for lo, hi, w in prior.expanded_boxes:
-            if lo[i] <= v <= hi[i]:
-                sect = w
-                for j in range(prior.n):
-                    if j != i:
-                        sect *= hi[j] - lo[j]
-                total += sect
-        return total
+        return _box_marginal(prior, i, v)
     if isinstance(prior, SymmetricDiscretePrior):
         prior = prior.expanded
     if isinstance(prior, DiscretePrior):
@@ -612,6 +618,19 @@ def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
             raise IndexError(f"bidder index {i} out of range")
         return sum((m for _, m in prior.support_by_value.get((i, v), ())), ZERO)
     return marginal(prior, i).density(v)
+
+
+def _box_marginal(prior: BoxDensity, i: int, v: Fraction) -> Fraction:
+    """Sum over the boxes whose i-th edge holds v of weight times the other
+    edges' lengths."""
+    total = ZERO
+    for lo, hi, w in prior.expanded_boxes:
+        if lo[i] <= v <= hi[i]:
+            for j in range(prior.n):
+                if j != i:
+                    w *= hi[j] - lo[j]
+            total += w
+    return total
 
 
 def support_values(prior: Prior, i: int) -> list[Fraction]:
@@ -641,7 +660,7 @@ def conditional(prior: Prior, i: int, v: Fraction):
     if isinstance(prior, IIDMarginal):
         raise TypeError(
             "conditional over an IIDMarginal needs the bidder count; "
-            "convert with as_box_density(n) first"
+            "expand it into a BoxDensity of n bidders first"
         )
     if isinstance(prior, BoxDensity):
         fi = marginal_mass(prior, i, v)
@@ -842,9 +861,7 @@ def validate_strategy(
 
 def _value_space(auction: Auction, bidder: int):
     prior = auction.prior
-    if isinstance(prior, DiscretePrior):
-        return prior.value_spaces[bidder]
-    if isinstance(prior, SymmetricDiscretePrior):
+    if isinstance(prior, (DiscretePrior, SymmetricDiscretePrior)):
         return prior.value_spaces[bidder]
     return None
 

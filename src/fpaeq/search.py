@@ -268,13 +268,9 @@ def default_jump_grid(auction: Auction, mesh: int | None = None) -> tuple[Fracti
     with the uniform grid of mesh 1/m (m >= 1; None for no refinement)."""
     if mesh is not None and mesh <= 0:
         raise ValueError("mesh must be a positive integer")
-    prior = auction.prior
-    if isinstance(prior, IIDMarginal):
-        prior = prior.as_box_density(auction.n)
-    pts = set()
-    for i in range(prior.n):
-        pts.update(prior.axis_breakpoints(i))
-    pts.update(auction.bids)
+    pts = set(auction.bids)
+    for i in range(auction.n):
+        pts.update(auction.prior.axis_breakpoints(i))
     if mesh is not None:
         pts.update(Fraction(k, mesh) for k in range(mesh + 1))
     return tuple(sorted(pts))

@@ -26,7 +26,7 @@ from fpaeq.model import (
     SymmetricDiscretePrior,
     support_values,
 )
-from fpaeq.engine import _expanded, verify_pbne
+from fpaeq.engine import verify_pbne
 from fpaeq.search import SearchResult, _bid_choices, _fill_strategy, _jump_vectors
 from fpaeq.serialize import dumps, profile_to_doc
 
@@ -56,7 +56,7 @@ def enum_utility_dfpa(
     """Full enumeration over opponent value tuples and bid tuples."""
     prior = auction.prior
     if isinstance(prior, SymmetricDiscretePrior):
-        prior = _expanded(prior)
+        prior = prior.expanded
     assert isinstance(prior, DiscretePrior)
     opponents = opponents.expand(auction.n)
     total = ZERO
@@ -86,7 +86,7 @@ def enum_win_prob_dfpa(auction, i, v, bid, opponents) -> Fraction:
     """Enumeration analogue of the win probability (value term factored out)."""
     prior = auction.prior
     if isinstance(prior, SymmetricDiscretePrior):
-        prior = _expanded(prior)
+        prior = prior.expanded
     opponents = opponents.expand(auction.n)
     total = ZERO
     fi = ZERO

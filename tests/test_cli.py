@@ -11,7 +11,7 @@ from fpaeq.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
-from fpaeq.model import MixedStrategy, Profile, PureStrategy
+from fpaeq.model import JumpStrategy, MixedStrategy, Profile, PureStrategy
 from fpaeq.serialize import (
     instance_to_doc,
     dumps,
@@ -382,6 +382,87 @@ class TestContinuousVerbs:
         code, _, err = run(capsys, "densify", "--instance", inst)
         assert code == EXIT_VALIDATION
         assert json.loads(err)["error"] == "unsupported"
+
+
+@pytest.fixture
+def sat13(tmp_path, capsys):
+    """The 13-bidder from-sat instance, its map and an encoded profile."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    prefix = tmp_path / "red"
+    assert main(["from-sat", str(cnf), "--out-prefix", str(prefix)]) == EXIT_OK
+    prof = tmp_path / "encoded.json"
+    argv = ["encode", "--map", f"{prefix}.map.json", "--assignment", "1,0", "--out", prof]
+    assert main([str(a) for a in argv]) == EXIT_OK
+    capsys.readouterr()
+    return f"{prefix}.instance.json", f"{prefix}.map.json", str(prof)
+
+
+def _iid3(tmp_path) -> str:
+    doc = {
+        "kind": "cfpa-iid",
+        "bids": ["0", "1/4", "1/2"],
+        "n": 3,
+        "breakpoints": ["0", "1/2", "1"],
+        "densities": ["3/2", "1/2"],
+    }
+    inst = tmp_path / "iid3.json"
+    inst.write_text(dumps(doc))
+    return str(inst)
+
+
+def _jump_profile(tmp_path, bids, seats) -> str:
+    thresholds = [F(0)] + [max(F(1, 2), b) for b in bids[1:]] + [F(1)]
+    path = tmp_path / "jump.json"
+    save_profile(Profile([JumpStrategy(bids, thresholds)] * seats), str(path))
+    return str(path)
+
+
+class TestBoundaryValidation:
+    """Out-of-range bidders and profiles that do not fit the map or the
+    instance exit 12 before any computation."""
+
+    def _rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["marginal", "--bidder", "99"],
+            ["marginal", "--bidder", "-1"],
+            ["utility", "--bidder", "99", "--value", "0", "--bid", "0"],
+            ["best-response", "--bidder", "99", "--value", "0"],
+        ],
+    )
+    def test_bidder_out_of_range(self, capsys, sat13, verb):
+        inst, _, prof = sat13
+        extra = [] if verb[0] == "marginal" else ["--profile", prof]
+        self._rejected(capsys, *verb, "--instance", inst, *extra)
+
+    def test_iid_bidder_out_of_range(self, capsys, tmp_path):
+        self._rejected(capsys, "marginal", "--instance", _iid3(tmp_path), "--bidder", 5)
+
+    def test_extract_profile_arity(self, capsys, tmp_path, sat13):
+        # the first three seats of an encoding: variable 1 reads as encoded
+        _, rmap, prof = sat13
+        path = tmp_path / "three.json"
+        save_profile(Profile(load_profile(prof).strategies[:3]), str(path))
+        self._rejected(capsys, "extract", "--map", rmap, "--profile", path)
+
+    def test_project_profile_arity(self, capsys, tmp_path, sat13):
+        inst, _, _ = sat13
+        bids = list(load_instance(inst).bids)
+        prof = _jump_profile(tmp_path, bids, 2)
+        argv = ["project", "--instance", inst, "--profile", prof, "--delta", "1/64"]
+        self._rejected(capsys, *argv)
+
+    def test_project_needs_a_discrete_instance(self, capsys, tmp_path):
+        inst = _iid3(tmp_path)
+        prof = _jump_profile(tmp_path, list(load_instance(inst).bids), 3)
+        argv = ["project", "--instance", inst, "--profile", prof, "--delta", "1/8"]
+        self._rejected(capsys, *argv)
 
 
 class TestDeterminism:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fpaeq.engine import (
     _Game,
+    _kind,
+    _win_masses,
     best_response,
     check_affiliation,
     check_monotone,
@@ -38,6 +40,7 @@ from fpaeq.model import (
     marginal,
     support_values,
 )
+from fpaeq.search import default_jump_grid
 from conftest import (
     nested_cube_sapv,
     random_apv_auction,
@@ -652,3 +655,103 @@ class TestKernelProperties:
         fi, H = _Game(auc, profile, False).win_mass(0, half)
         assert H == _reference_win_masses(auc, profile, 0, half)
         assert H == [0, F(1, 3) / 2, F(1, 3) + F(2, 3) / 2]
+
+
+# ---------------------------------------------------------------------------
+# iid priors: one folded scenario against the k^n product-box expansion
+# ---------------------------------------------------------------------------
+
+def _iid_marginal(rng, n):
+    """Random normalised marginal on eighths, zero-density pieces included;
+    at most 3 positive pieces for n <= 3 and 2 beyond, so the oracle's k^n
+    boxes stay few."""
+    cuts = sorted(rng.sample([F(k, 8) for k in range(1, 8)], rng.randint(1, 3)))
+    bps = [F(0)] + cuts + [F(1)]
+    weights = [rng.choice((0, 0, 1, 2, 3)) for _ in cuts + [None]]
+    positive = [j for j, w in enumerate(weights) if w]
+    for j in positive[3 if n <= 3 else 2:]:
+        weights[j] = 0
+    if not positive:
+        weights[rng.randrange(len(weights))] = 1
+    total = sum((b - a) * w for a, b, w in zip(bps, bps[1:], weights))
+    return IIDMarginal(bps, [w / total for w in weights])
+
+
+def _iid_case(rng, n, seats):
+    """(iid auction, its box expansion, a jump profile); ``seats`` is "shared"
+    (one strategy object), "equal" (equal copies) or "distinct"."""
+    marg = _iid_marginal(rng, n)
+    bids = [F(0)] + sorted(rng.sample([F(k, 8) for k in range(1, 8)], 2))
+    auc = Auction(BidSpace(bids), marg, n)
+    oracle = Auction(auc.bids, marg.as_box_density(n))
+    s = _random_jump(rng, bids)
+    if seats == "shared":
+        return auc, oracle, Profile([s] * n)
+    if seats == "equal":
+        return auc, oracle, Profile([JumpStrategy(bids, s.thresholds) for _ in range(n)])
+    return auc, oracle, Profile([_random_jump(rng, bids) for _ in range(n)])
+
+
+IID_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestIIDFolding:
+    @IID_SETTINGS
+    @given(
+        rng=st.randoms(use_true_random=False),
+        n=st.integers(2, 5),
+        seats=st.sampled_from(["shared", "equal", "distinct"]),
+    )
+    def test_matches_box_expansion(self, rng, n, seats):
+        auc, oracle, profile = _iid_case(rng, n, seats)
+        assert verify_pbne(auc, profile, 0) == verify_pbne(oracle, profile, 0)
+        eps = F(rng.randint(0, 4), 16)
+        assert is_pbne(auc, profile, eps) == is_pbne(oracle, profile, eps)
+        randoms = {F(rng.randint(0, 64), 64) for _ in range(3)}
+        for v in sorted(set(auc.prior.breakpoints) | randoms):
+            i = rng.randrange(n)
+            for b in auc.bids:
+                try:
+                    expected = utility_cfpa(oracle, i, v, b, profile)
+                except ValueError:  # v outside the marginal's support
+                    with pytest.raises(ValueError):
+                        utility_cfpa(auc, i, v, b, profile)
+                    continue
+                assert utility_cfpa(auc, i, v, b, profile) == expected
+        assert default_jump_grid(auc) == default_jump_grid(oracle)
+        assert default_jump_grid(auc, 3) == default_jump_grid(oracle, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_folded_kernel_matches_dp(self, rng):
+        # rows drawn from masses that hit every shortcut (g or G in {0, 1});
+        # opponents repeat rows, and repeated keys share one row object
+        nbids = 3
+        half, third = F(1, 2), F(1, 3)
+        choices = [(F(0), F(1)), (F(1), F(0)), (F(0), F(0)), (F(0), half), (third, half)]
+
+        def row():
+            pairs = [rng.choice(choices + [tuple(random_rationals(rng, 2, den=6))])
+                     for _ in range(nbids)]
+            pairs = [(g, G) if g + G <= 1 else (g / 2, G / 2) for g, G in pairs]
+            gs, Gs = [g for g, _ in pairs], [G for _, G in pairs]
+            return bytes(map(_kind, gs, Gs)), gs, Gs
+
+        table = {key: row() for key in "abc"}
+        scenarios = []
+        for _ in range(rng.randint(1, 3)):
+            keys = rng.choice(["a", "ab", "abc"])
+            opponents = tuple(rng.choice(keys) for _ in range(rng.randint(1, 6)))
+            scenarios.append((F(rng.randint(1, 5), 7), opponents))
+
+        def win(opps, k):
+            rows = [table[o] for o in opps]
+            return win_from_ties(tie_dp([r[1][k] for r in rows], [r[2][k] for r in rows]))
+
+        expected = [
+            sum((mass * win(opps, k) for mass, opps in scenarios), F(0))
+            for k in range(nbids)
+        ]
+        assert _win_masses(scenarios, table, nbids) == expected
