@@ -76,14 +76,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r}: not an integer")
-    if k <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r}: must be a positive integer")
-    return k
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r}: not an integer")
+        if k < low:
+            raise argparse.ArgumentTypeError(f"{text!r}: must be an integer >= {low}")
+        return k
+
+    return parse
 
 
 def _load(loader, path: str):
@@ -260,7 +265,10 @@ def _emit_search(result: search.SearchResult, out: str | None) -> int:
 
 def _search(args, run) -> int:
     """``run(log)`` with the --log file, if any, open; then emit the result."""
-    log = open(args.log, "w", encoding="utf-8") if getattr(args, "log", None) else None
+    try:
+        log = open(args.log, "w", encoding="utf-8") if args.log else None
+    except OSError as exc:
+        raise CliError(EXIT_IO, "io", f"{args.log}: {exc.strerror or exc}")
     try:
         result = run(log)
     finally:
@@ -515,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("jump-search", cmd_jump_search, help="grid search over jump profiles")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
-    sp.add_argument("--mesh", type=_positive_int, default=None)
+    sp.add_argument("--mesh", type=_int_at_least(1), default=None)
     sp.add_argument("--symmetric", action="store_true")
     sp.add_argument("--budget", type=int, default=2_000_000)
     sp.add_argument("--out")
@@ -523,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("shrink", cmd_shrink, help="bid-space shrinkage")
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--target", type=int, required=True)
+    sp.add_argument("--target", type=_int_at_least(2), required=True)
     sp.add_argument("--out")
 
     sp = add("from-sat", cmd_from_sat, help="SAT-to-DFPA hardness reduction")
@@ -556,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-strategy")
     sp.add_argument("--out-certificate")
     sp.add_argument("--samples")
-    sp.add_argument("--grid", type=_positive_int, default=100)
+    sp.add_argument("--grid", type=_int_at_least(1), default=100)
 
     sp = add("check-affiliation", cmd_check_affiliation, help="MTP2 check")
     sp.add_argument("--instance", required=True)
@@ -565,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instance", required=True)
     sp.add_argument("--strategy", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--grid", type=_positive_int, default=100)
+    sp.add_argument("--grid", type=_int_at_least(1), default=100)
 
     return p
 

@@ -10,8 +10,9 @@ where G_v is the cdf of the opponents' maximum value conditioned on one's own
 value being v.  For piecewise-constant priors everything here is exactly
 computable: G_v is a piecewise polynomial of degree <= n-1, L_v is a product
 of rational cdf ratios piece by piece, and beta is one rational function per
-marginal piece, built once per solve.  The solver inverts beta approximately
-on the instance's discrete bid grid (bisection with that exact beta) and
+marginal piece, built once per solve with integer coefficients.  The solver
+inverts beta approximately on the instance's discrete bid grid (an exact
+bisection that runs in integers, building one Fraction per inversion) and
 assembles a monotone step strategy that underapproximates beta; the resulting
 profile is an approximate equilibrium of the discrete-bid auction with a
 certified bound 2*gamma*(delta + 2*eps).
@@ -23,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from .model import (
     ONE,
@@ -201,31 +203,57 @@ def _sapv_table(prior: BoxDensity):
     return bp, [max_order_cdf(prior, Fraction(a + b, 2)) for a, b in zip(bp, bp[1:])]
 
 
-def _piecewise_beta(bp, gs, lo: Fraction, below: str):
+class CanonicalBeta:
     """beta from the coefficients gs[k] of G_k, the opponents' max-order cdf
     on marginal piece k = (bp_k, bp_k+1].  There beta(x) = x - N_k(x)/G_k(x)
     with N_k = A_k - A_k(bp_k) + G_k(bp_k) T_k, A_k the antiderivative of G_k,
     T_0 = 0 and T_k+1 = N_k(bp_k+1)/G_k(bp_k+1), or 0 where G_k(bp_k+1) = 0
-    (L vanishes below).  beta(lo) = lo; ``below`` is the error for x < lo."""
-    nums, t = [], ZERO
-    for k, cs in enumerate(gs):
-        anti = _poly_antiderivative(cs)
-        nums.append((_poly_eval(cs, bp[k]) * t - _poly_eval(anti, bp[k]),) + anti[1:])
-        right = _poly_eval(cs, bp[k + 1])
-        t = _poly_eval(nums[k], bp[k + 1]) / right if right else ZERO
+    (L vanishes below).  A piece is kept as P_k = x*G_k - N_k over G_k, both
+    scaled to integers by one common denominator and padded to one degree,
+    so beta(X/Y) is a ratio of two homogeneous integer Horner sums; G_k > 0
+    on the piece.  beta(lo) = lo; ``below`` is the error for x < lo;
+    ``top`` is beta(1)."""
 
-    def beta(x) -> Fraction:
+    def __init__(self, bp, gs, lo: Fraction, below: str):
+        nums, t = [], ZERO
+        for k, cs in enumerate(gs):
+            anti = _poly_antiderivative(cs)
+            nums.append((_poly_eval(cs, bp[k]) * t - _poly_eval(anti, bp[k]),) + anti[1:])
+            right = _poly_eval(cs, bp[k + 1])
+            t = _poly_eval(nums[k], bp[k + 1]) / right if right else ZERO
+        width = max(map(len, nums))
+        self.pieces = []  # (right end as p, q; (P_k, G_k) pairs, highest power first)
+        for right, cs, ns in zip(bp[1:], gs, nums):
+            g = tuple(cs) + (ZERO,) * (width - len(cs))
+            nk = ns + (ZERO,) * (width - len(ns))
+            ps = [a - b for a, b in zip((ZERO,) + g, nk)]  # g[-1] = 0: x*G_k fits
+            d = lcm(*(c.denominator for c in ps + list(g)))
+            pairs = tuple(((p * d).numerator, (q * d).numerator) for p, q in zip(ps, g))
+            self.pieces.append((right.numerator, right.denominator, pairs[::-1]))
+        self.lo, self.below = lo, below
+        self.top = self(ONE)
+
+    def scaled(self, X: int, Y: int) -> tuple[int, int]:
+        """Y^degree times (P_k, G_k) at X/Y, for X/Y in (bp_k, bp_k+1]."""
+        for r, s, pairs in self.pieces:
+            if X * s <= r * Y:
+                break
+        p, g = pairs[0]
+        y = 1
+        for cp, cg in pairs[1:]:
+            y *= Y
+            p, g = p * X + cp * y, g * X + cg * y
+        return p, g
+
+    def __call__(self, x) -> Fraction:
         x = rat(x)
-        if x < lo:
-            raise ValueError(below.format(x=x))
+        if x < self.lo:
+            raise ValueError(self.below.format(x=x))
         if x > 1:
             raise ValueError("value outside [0,1]")
-        if x == lo:
-            return lo
-        k = bisect_left(bp, x) - 1
-        return x - _poly_eval(nums[k], x) / _poly_eval(gs[k], x)
-
-    return beta
+        if x == self.lo:
+            return self.lo
+        return Fraction(*self.scaled(x.numerator, x.denominator))
 
 
 def _sapv_beta(boxes: BoxDensity):
@@ -234,7 +262,7 @@ def _sapv_beta(boxes: BoxDensity):
     # symmetric prior: G_k's cuts are marginal breakpoints, so one polynomial
     # covers the whole piece
     gs = [g.coeffs[g.piece_index(right)] for g, right in zip(gs, bp[1:])]
-    return _piecewise_beta(bp, gs, ZERO, "value outside [0,1]")
+    return CanonicalBeta(bp, gs, ZERO, "value outside [0,1]")
 
 
 def _iid_beta(marg: IIDMarginal, n: int):
@@ -246,10 +274,10 @@ def _iid_beta(marg: IIDMarginal, n: int):
         gs.append(reduce(_poly_mul, [(f - pj * a[j], pj)] * (n - 1), (ONE,)))
         f += pj * (a[j + 1] - a[j])
     below = f"value {{x}} below the support's left end {vlo}"
-    return _piecewise_beta(a, gs, vlo, below)
+    return CanonicalBeta(a, gs, vlo, below)
 
 
-def canonical_beta(auction: Auction):
+def canonical_beta(auction: Auction) -> CanonicalBeta:
     """The canonical symmetric equilibrium bid as a callable beta(x), built
     once as one exact rational function per marginal piece."""
     prior = auction.prior
@@ -387,32 +415,42 @@ def _ceil_log2(q: Fraction) -> int:
 
 
 def approx_invert(auction: Auction, b, eps, _beta=None, _bounds=None) -> Fraction:
-    """Value s with beta(s) in [b, b + 2*eps], by bisection on an exact beta
-    oracle; stops when the bracketing beta-gap closes below eps, with a
-    Lipschitz-derived iteration cap as a termination backstop."""
+    """Value s with beta(s) in [b, b + 2*eps], by bisection on the exact beta;
+    stops when the bracketing beta-gap closes below eps, with a
+    Lipschitz-derived iteration cap as a termination backstop.
+
+    The loop is integer-only: with vlo = a/c, the bracket at depth d is
+    (a*2^d + (c-a)*j) / (c*2^d) for j - 1 and j, beta at its ends is kept as
+    unreduced ratios of ``CanonicalBeta.scaled`` sums, and each test is
+    cross-multiplied, which is exact because every denominator is positive."""
     b, eps = rat(b), rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     beta = _beta or canonical_beta(auction)
     bounds = _bounds or bounds_profile(auction)
     vlo = bounds.v_lo
-    beta_lo, beta_hi = beta(vlo), beta(ONE)
+    beta_lo, beta_hi = beta(vlo), beta.top
     if b < beta_lo or b > beta_hi:
         raise ValueError(f"bid {b} outside the bidding range [{beta_lo}, {beta_hi}]")
     if b == beta_lo:
         return vlo
     cap = _ceil_log2(bounds.lipschitz * (ONE - vlo) / eps) + 2
-    lo, hi = vlo, ONE
+    a, c = vlo.numerator, vlo.denominator
+    bn, bd, en, ed = b.numerator, b.denominator, eps.numerator, eps.denominator
+    plo, glo = beta_lo.numerator, beta_lo.denominator
+    phi, ghi = beta_hi.numerator, beta_hi.denominator
+    j, scale = 1, 1  # hi is (a*scale + (c-a)*j) / (c*scale), scale = 2^d
     for _ in range(cap):
-        if beta_hi - beta_lo <= eps:
+        if (phi * glo - plo * ghi) * ed <= en * ghi * glo:
             break
-        mid = Fraction(lo + hi, 2)
-        bm = beta(mid)
-        if bm >= b:
-            hi, beta_hi = mid, bm
+        j, scale = 2 * j - 1, 2 * scale
+        pm, gm = beta.scaled(a * scale + (c - a) * j, c * scale)
+        if pm * bd >= bn * gm:
+            phi, ghi = pm, gm
         else:
-            lo, beta_lo = mid, bm
-    return hi
+            plo, glo = pm, gm
+            j += 1
+    return Fraction(a * scale + (c - a) * j, c * scale)
 
 
 @dataclass(frozen=True)
@@ -441,7 +479,7 @@ def densify_solve(auction: Auction, eps=DEFAULT_EPS) -> DensifyCertificate:
         raise ValueError("eps must be positive")
     bounds = bounds_profile(auction)
     beta = canonical_beta(auction)
-    beta_one = beta(ONE)
+    beta_one = beta.top
     vlo = bounds.v_lo
     bids = auction.bids
     m = len(bids)

@@ -229,11 +229,9 @@ def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
 
 
 def _iid_scenarios(n: int, prior: IIDMarginal, i: int, v: Fraction):
-    """One scenario of conditional mass 1, the other seats as (seat, None);
-    f_i(v) sums the densities of the positive pieces whose closed interval
-    holds v, as the box expansion does."""
-    fi = sum((p for a, c, p in prior.pieces if a <= v <= c), ZERO)
-    return fi, [(ONE, tuple((j, None) for j in range(n) if j != i))]
+    """One scenario of conditional mass 1, the other seats as (seat, None)."""
+    opponents = tuple((j, None) for j in range(n) if j != i)
+    return marginal_mass(prior, i, v), [(ONE, opponents)]
 
 
 def _box_mass(weight: Fraction, opponents) -> Fraction | None:

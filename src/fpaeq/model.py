@@ -303,14 +303,6 @@ class IIDMarginal:
             acc += p * (min(x, right) - left)
         return acc
 
-    def density(self, x: Fraction) -> Fraction:
-        """Density at x; pieces are open, breakpoints take the left piece."""
-        a = self.breakpoints
-        for j, p in enumerate(self.densities):
-            if a[j] < x <= a[j + 1]:
-                return p
-        return self.densities[0] if x == 0 else ZERO
-
     @cached_property
     def support_left(self) -> Fraction:
         """Leftmost point of the marginal's support."""
@@ -605,8 +597,9 @@ def marginal(prior: Prior, i: int, n: int | None = None):
 def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
     """f_i(v) for discrete priors / marginal density at v for continuous.
 
-    Boxes are closed, so a value on a shared face collects both sides; this
-    measure-zero convention matches the utility computations.
+    Boxes and iid pieces are closed, so a value on a shared face or at a
+    breakpoint collects both sides; this measure-zero convention matches the
+    utility computations and the iid prior's box expansion.
     """
     v = rat(v)
     if isinstance(prior, BoxDensity):
@@ -617,7 +610,9 @@ def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
         return sum((m for _, m in prior.support_by_value.get((i, v), ())), ZERO)
-    return marginal(prior, i).density(v)
+    if isinstance(prior, IIDMarginal):
+        return sum((p for a, c, p in prior.pieces if a <= v <= c), ZERO)
+    raise TypeError(f"unsupported prior: {type(prior).__name__}")
 
 
 def _box_marginal(prior: BoxDensity, i: int, v: Fraction) -> Fraction:

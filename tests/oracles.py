@@ -7,7 +7,8 @@ values by adaptive numerical quadrature.  The exact canonical bid and L are
 also kept as the per-call recursions that re-derive every piece from the
 prior, the references for the densify module's once-built tables, and the
 searches as the per-candidate walk that verifies every candidate afresh, the
-reference for the search module's shared deviation tables.
+reference for the search module's shared deviation tables, and the beta
+bisection as the Fraction loop, the reference for the integer-only one.
 """
 
 from __future__ import annotations
@@ -384,3 +385,31 @@ def ref_beta_iid(marg, n: int, x) -> Fraction:
             acc += (a[k + 1] - a[k]) * Fl ** (n - 1)
     acc += (Fx**n - marg.cdf(a[j]) ** n) / (n * p[j])
     return x - acc / Fx ** (n - 1)
+
+
+def ref_approx_invert(auction: Auction, b, eps, beta) -> Fraction:
+    """The bisection of ``densify.approx_invert`` on Fractions, for any
+    callable beta: halve [vlo, 1] at its exact midpoint until the bracketing
+    beta-gap closes below eps or the Lipschitz-derived cap runs out."""
+    from fpaeq.densify import _ceil_log2, bounds_profile
+
+    b, eps = Fraction(b), Fraction(eps)
+    bounds = bounds_profile(auction)
+    vlo = bounds.v_lo
+    beta_lo, beta_hi = beta(vlo), beta(ONE)
+    if b < beta_lo or b > beta_hi:
+        raise ValueError(f"bid {b} outside the bidding range [{beta_lo}, {beta_hi}]")
+    if b == beta_lo:
+        return vlo
+    cap = _ceil_log2(bounds.lipschitz * (ONE - vlo) / eps) + 2
+    lo, hi = vlo, ONE
+    for _ in range(cap):
+        if beta_hi - beta_lo <= eps:
+            break
+        mid = Fraction(lo + hi, 2)
+        bm = beta(mid)
+        if bm >= b:
+            hi, beta_hi = mid, bm
+        else:
+            lo, beta_lo = mid, bm
+    return hi

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fpaeq.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEARCH_NONE,
@@ -11,7 +12,15 @@ from fpaeq.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
-from fpaeq.model import JumpStrategy, MixedStrategy, Profile, PureStrategy
+from fpaeq.model import (
+    Auction,
+    BidSpace,
+    IIDMarginal,
+    JumpStrategy,
+    MixedStrategy,
+    Profile,
+    PureStrategy,
+)
 from fpaeq.serialize import (
     instance_to_doc,
     dumps,
@@ -210,6 +219,27 @@ class TestSearchVerbs:
         assert exc.value.code == 2
         assert "--mesh" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("verb", ["solve-pure", "solve-symmetric", "jump-search"])
+    def test_unopenable_log_is_an_io_error(self, capsys, files, tmp_path, verb):
+        _, inst, _ = files
+        if verb == "jump-search":
+            inst = tmp_path / "uniform.json"
+            uniform = Auction(BidSpace([0, F(1, 4)]), IIDMarginal([0, 1], [1]), 2)
+            save_instance(uniform, str(inst))
+        log = tmp_path / "missing" / "run.log"
+        code, out, err = run(capsys, verb, "--instance", inst, "--log", log)
+        assert code == EXIT_IO
+        assert out == ""
+        assert json.loads(err) == {"error": "io", "detail": f"{log}: No such file or directory"}
+
+    @pytest.mark.parametrize("target", ["1", "0", "-3"])
+    def test_target_below_two_is_a_usage_error(self, capsys, files, target):
+        _, inst, _ = files
+        with pytest.raises(SystemExit) as exc:
+            main(["shrink", "--instance", inst, f"--target={target}"])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
 
 
 class TestReductionVerbs:

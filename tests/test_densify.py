@@ -35,6 +35,7 @@ from oracles import (
     quad_beta_iid,
     quad_beta_sapv,
     ref_affiliation_L,
+    ref_approx_invert,
     ref_beta_iid,
     ref_beta_sapv,
 )
@@ -396,15 +397,21 @@ def _random_sapv(rng):
     return auc
 
 
-def _random_iid(rng):
-    """Marginal on 2-4 pieces, some of them of zero density."""
-    sixteenths = [F(j, 16) for j in range(1, 16)]
-    bps = [ZERO] + sorted(rng.sample(sixteenths, rng.randint(1, 3))) + [ONE]
+SIXTEENTHS = [F(j, 16) for j in range(1, 16)]
+
+
+def _random_marginal(rng, cuts):
+    """Marginal on 2-4 pieces cut at some of ``cuts``, some of zero density."""
+    bps = [ZERO] + sorted(rng.sample(cuts, rng.randint(1, 3))) + [ONE]
     dens = [F(rng.choice([0, 0, 1, 2, 5])) for _ in bps[1:]]
     dens[rng.randrange(len(dens))] = F(rng.randint(1, 4))
     total = sum((b - a) * d for a, b, d in zip(bps, bps[1:], dens))
-    marg = IIDMarginal(bps, [d / total for d in dens])
-    bids = [ZERO] + sorted(rng.sample(sixteenths, 3))
+    return IIDMarginal(bps, [d / total for d in dens])
+
+
+def _random_iid(rng):
+    marg = _random_marginal(rng, SIXTEENTHS)
+    bids = [ZERO] + sorted(rng.sample(SIXTEENTHS, 3))
     return Auction(BidSpace(bids), marg, n=rng.randint(2, 3))
 
 
@@ -456,5 +463,28 @@ class TestCanonicalBetaProperties:
         top = ref(ONE)
         for j, b in enumerate(auc.bids):
             if j and cert.bounds.v_lo <= b <= top:
-                expected = approx_invert(auc, b, DEFAULT_EPS, _beta=ref)
+                expected = ref_approx_invert(auc, b, DEFAULT_EPS, ref)
                 assert cert.strategy.thresholds[j] == expected
+
+    @settings(BETA_SETTINGS, max_examples=30)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        kind=st.sampled_from(["sapv", "iid"]),
+        eps=st.sampled_from([DEFAULT_EPS, F(1, 1000), F(1, 3**20)]),
+    )
+    def test_integer_bisection_equals_the_fraction_loop(self, rng, kind, eps):
+        """Grid bids, beta at the breakpoints and random bids in range; iid
+        marginals with n up to 5 and support ends such as 1/3 or 2/7."""
+        if kind == "sapv":
+            auc = _random_sapv(rng)
+        else:
+            marg = _random_marginal(rng, SIXTEENTHS + [F(1, 3), F(2, 3), F(2, 7), F(5, 7)])
+            auc = Auction(GRID100, marg, n=rng.randint(2, 5))
+        beta, bounds = canonical_beta(auc), bounds_profile(auc)
+        lo, top = bounds.v_lo, beta.top
+        bids = [b for b in auc.bids if lo <= b <= top]
+        bids += [beta(x) for x in marginal(auc.prior, 0).breakpoints if x >= lo]
+        bids += [lo + (top - lo) * F(rng.randint(0, q), q) for q in (7, 2**20, 10**9)]
+        for b in bids:
+            got = approx_invert(auc, b, eps, _beta=beta, _bounds=bounds)
+            assert got == ref_approx_invert(auc, b, eps, beta)

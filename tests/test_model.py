@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpaeq.model import (
     Auction,
@@ -119,6 +121,26 @@ class TestMarginalConditional:
     def test_uniform_box_marginal_density_one(self, uniform_box2):
         m = marginal(uniform_box2.prior, 0)
         assert all(p == 1 for p in m.densities)
+
+    def test_iid_mass_at_a_breakpoint_collects_both_sides(self):
+        marg = IIDMarginal([0, F(1, 2), 1], [F(1, 2), F(3, 2)])
+        assert marginal_mass(marg, 0, F(1, 2)) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_iid_mass_equals_the_box_expansion(self, rng):
+        cuts = sorted(rng.sample([F(j, 12) for j in range(1, 12)], rng.randint(1, 3)))
+        bps = [F(0), *cuts, F(1)]
+        dens = [F(rng.choice([0, 0, 1, 3])) for _ in cuts] + [F(rng.randint(1, 3))]
+        rng.shuffle(dens)
+        total = sum((b - a) * d for a, b, d in zip(bps, bps[1:], dens))
+        marg = IIDMarginal(bps, [d / total for d in dens])
+        n = rng.randint(2, 3)
+        boxes = marg.as_box_density(n)
+        points = bps + [F(rng.randint(0, 10**6), 10**6) for _ in range(5)]
+        for v in points:
+            i = rng.randrange(n)
+            assert marginal_mass(marg, i, v) == marginal_mass(boxes, i, v)
 
     def test_marginal_matches_enumeration(self):
         rng = random.Random(7)
