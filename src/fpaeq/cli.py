@@ -17,6 +17,7 @@ Failures also emit one machine-readable JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -289,6 +290,8 @@ def cmd_solve_symmetric(args) -> int:
 
 def cmd_jump_search(args) -> int:
     auction = _load_instance(args.instance)
+    if auction.is_discrete:
+        raise _invalid([f"jump-search needs a continuous instance, got {auction.kind}"])
     grid = search.default_jump_grid(auction, mesh=args.mesh)
     cfg = search.SearchConfig(eps=args.eps, symmetric=args.symmetric, budget=args.budget)
     return _search(args, lambda log: search.jump_grid_search(auction, cfg, grid, log))
@@ -469,6 +472,7 @@ def cmd_emit_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process, built on the first call to main
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fpaeq",

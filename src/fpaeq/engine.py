@@ -12,25 +12,25 @@ at once, in three pieces:
 
 * scenarios -- one generator per prior kind (explicit discrete, group-succinct
   discrete with its arrangement counts, boxes, grouped boxes, iid) yields, for
-  bidder i at value v, ``f_i(v)`` and the ``(mass, opponents)`` of every
-  conditional scenario; an opponent is a (seat, value) or (seat, interval)
-  pair.  Discrete supports are indexed by (bidder, own value) once per prior.
-  An iid marginal yields one scenario whose n-1 opponents are each averaged
-  over the whole marginal, with no k^n product boxes.
+  bidder i at value v, ``f_i(v)``, a denominator D and the ``(mass * D,
+  opponents)`` of every conditional scenario.  Discrete supports are indexed
+  once per prior: integer masses over one D, opponents as (seat, value id).
+  Other opponents are (group, value), (seat, interval) or, for an iid
+  marginal, its n-1 other seats, each averaged over the whole marginal.
 * bid table -- per profile, each opponent's tie mass g and strictly-below
   mass G for every bid, built on first use and shared by all scenarios and
   by the seats that hold one strategy object.
-* kernel -- one pass over the scenarios for all bids.  It skips opponents
-  surely below (G = 1), counts those surely tying (g = 1) without the DP,
-  drops the scenario as soon as one opponent is surely above (g = G = 0),
-  and folds c split opponents sharing one row into a closed form.
+* kernel -- one pass over the scenarios for all bids.  Scenarios whose
+  opponents all bid surely below (G = 1) or surely tie (g = 1) add their mass
+  to one bucket per (bid, tie count); one surely above (g = G = 0) drops the
+  scenario; c split opponents sharing one row fold into a closed form.
 
 Utilities, best responses, verification and the search's candidate check
 all read that vector.  Verification runs :func:`bidder_deviations`, one
 deviation loop per (bidder, value) -- per cell for CFPA -- for each bidder
-against one game, or for bidder 0 alone when every seat of an iid prior plays
-one strategy; ``verify_pbne`` runs it to the end and ``is_pbne`` stops at the
-first violation.  The search runs it per bidder against games it shares
+against one game, or for bidder 0 alone, its records compared once for all
+seats, when every seat of an iid prior plays one strategy; ``verify_pbne``
+runs it to the end and ``is_pbne`` stops at the first violation.  The search runs it per bidder against games it shares
 between candidates with the same opponents.
 
 Utilities come in two normalizations:
@@ -149,16 +149,14 @@ def _arrangements(block: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scenarios: f_i(v) and the (mass, opponents) of every conditional scenario
+# scenarios: f_i(v), D and the (mass * D, opponents) of every scenario
 # ---------------------------------------------------------------------------
 
 def _discrete_scenarios(prior: DiscretePrior, i: int, v: Fraction):
-    """Support points with v_i = v; opponents are (bidder, value)."""
-    scenarios = [
-        (m, tuple((j, x) for j, x in enumerate(tup) if j != i))
-        for tup, m in prior.support_by_value.get((i, v), ())
-    ]
-    return marginal_mass(prior, i, v), scenarios
+    """Support points with v_i = v, from the prior's index; opponents are
+    (bidder, value id)."""
+    fi, scenarios = prior.index.by_value[i].get(v, (ZERO, ()))
+    return fi, prior.index.den, scenarios
 
 
 def _group_scenarios(prior: SymmetricDiscretePrior, i: int, v: Fraction):
@@ -173,7 +171,7 @@ def _group_scenarios(prior: SymmetricDiscretePrior, i: int, v: Fraction):
             cnt, opponents = _others(blocks, k, v)
             fi += p * cnt
             scenarios.append((p * cnt, opponents))
-    return fi, scenarios
+    return fi, 1, scenarios
 
 
 def _others(blocks: list, k: int, own):
@@ -205,7 +203,7 @@ def _box_scenarios(prior: BoxDensity, i: int, v: Fraction):
         if mass is not None:
             fi += mass
             scenarios.append((mass, opponents))
-    return fi, scenarios
+    return fi, 1, scenarios
 
 
 def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
@@ -225,13 +223,13 @@ def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
                 if mass is not None:
                     fi += mass
                     scenarios.append((mass, opponents))
-    return fi, scenarios
+    return fi, 1, scenarios
 
 
 def _iid_scenarios(n: int, prior: IIDMarginal, i: int, v: Fraction):
     """One scenario of conditional mass 1, the other seats as (seat, None)."""
     opponents = tuple((j, None) for j in range(n) if j != i)
-    return marginal_mass(prior, i, v), [(ONE, opponents)]
+    return marginal_mass(prior, i, v), 1, [(1, opponents)]
 
 
 def _box_mass(weight: Fraction, opponents) -> Fraction | None:
@@ -320,37 +318,34 @@ def _iid_masses(positions, pieces, strategy, _):
 def _win_masses(scenarios, table: _BidTable, nbids: int) -> list[Fraction]:
     """sum over scenarios of mass * P(win with bid k), for every bid k.
 
+    Scenarios without split opponents add their mass (an integer, on a
+    discrete index) to one bucket per (bid, tie count), divided by ties + 1 once.
     c split opponents sharing one row, and no sure ties, win with probability
     sum_r C(c,r) g^r G^(c-r) / (r+1) = ((G+g)^(c+1) - G^(c+1)) / ((c+1) g),
     or G^c when g = 0; anything else goes through the tie DP."""
     H = [ZERO] * nbids
+    buckets = [{} for _ in range(nbids)]  # tie count -> summed mass, per bid
     for mass, opponents in scenarios:
         rows = [table[o] for o in opponents]
-        for k in range(nbids):
-            ties = 0
-            split = []
-            for row in rows:
-                kind = row[0][k]
-                if kind == _SPLIT:
-                    split.append(row)
-                elif kind == _TIE:
-                    ties += 1
-                elif kind == _ABOVE:
-                    break
+        # column k: every opponent's kind at bid k
+        columns = zip(*(row[0] for row in rows)) if rows else [()] * nbids
+        for k, column in enumerate(columns):
+            if _ABOVE in column:
+                continue
+            ties = column.count(_TIE)
+            if _SPLIT not in column:
+                buckets[k][ties] = buckets[k].get(ties, 0) + mass
+                continue
+            split = [row for row, kind in zip(rows, column) if kind == _SPLIT]
+            if not ties and all(row is split[0] for row in split):
+                g, G, c = split[0][1][k], split[0][2][k], len(split)
+                H[k] += mass * (
+                    ((G + g) ** (c + 1) - G ** (c + 1)) / ((c + 1) * g) if g else G**c
+                )
             else:
-                if not split:
-                    H[k] += mass / (ties + 1) if ties else mass
-                elif not ties and all(row is split[0] for row in split):
-                    g, G, c = split[0][1][k], split[0][2][k], len(split)
-                    H[k] += mass * (
-                        ((G + g) ** (c + 1) - G ** (c + 1)) / ((c + 1) * g) if g else G**c
-                    )
-                else:
-                    T = tie_dp([r[1][k] for r in split], [r[2][k] for r in split])
-                    H[k] += mass * sum(
-                        (t / (r + ties + 1) for r, t in enumerate(T)), ZERO
-                    )
-    return H
+                T = tie_dp([r[1][k] for r in split], [r[2][k] for r in split])
+                H[k] += mass * sum((t / (r + ties + 1) for r, t in enumerate(T)), ZERO)
+    return [h + sum((Fraction(m, t + 1) for t, m in b.items()), ZERO) for h, b in zip(H, buckets)]
 
 
 class _Game:
@@ -370,11 +365,13 @@ class _Game:
         if auction.is_discrete:
             if succinct:
                 self._scenarios = _group_scenarios
+                masses = partial(_discrete_masses, self.bids)
             else:
                 prior = prior.expanded if isinstance(prior, SymmetricDiscretePrior) else prior
                 self._scenarios = _discrete_scenarios
+                bids, values = self.bids, prior.index.values
+                masses = lambda s, vid: _discrete_masses(bids, s, values[vid])  # noqa: E731
             self.pieces = None
-            masses = partial(_discrete_masses, self.bids)
         else:
             positions = [auction.bids.index(b) for b in self.bids]
             if self._iid:
@@ -401,7 +398,7 @@ class _Game:
             cuts = self.pieces[i]
             key = (i, bisect_left(cuts, v), bisect_right(cuts, v))
         if key not in self._memo:
-            fi, scenarios = self._scenarios(self.prior, i, v)
+            fi, den, scenarios = self._scenarios(self.prior, i, v)
             vec = None
             if fi != 0 and self._iid:
                 # the opponents, hence H, do not depend on v: one kernel per bidder
@@ -410,8 +407,8 @@ class _Game:
                 vec = self._memo[i,]
             elif fi != 0:
                 vec = _win_masses(scenarios, self._table, len(self.bids))
-                if self.pieces is not None:
-                    vec = [x / fi for x in vec]
+                norm = den if self.pieces is None else den * fi
+                vec = [x / norm for x in vec]
             self._memo[key] = fi, vec
         return self._memo[key]
 
@@ -690,33 +687,37 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bo
 
 
 def _deviations(auction: Auction, profile: Profile, mixed: bool):
-    """Every bidder's deviation records against one game of the profile."""
+    """(seats, records) per checked bidder against one game of the profile."""
     succinct = _succinct(auction, profile)
     game = _Game(auction, profile, succinct)
     first = profile.strategies[0]
     if game._iid and all(s == first for s in profile.strategies):
-        # exchangeable seats: check bidder 0 once, replay its records per seat
-        records = list(bidder_deviations(auction, game, 0, first, mixed))
-        yield from ((i,) + r[1:] for i in range(auction.n) for r in records)
+        # exchangeable seats: bidder 0's records hold for every seat
+        yield range(auction.n), bidder_deviations(auction, game, 0, first, mixed)
         return
     bidders = [g[0] for g in auction.prior.groups] if succinct else range(auction.n)
     for i in bidders:
-        yield from bidder_deviations(auction, game, i, profile.for_bidder(i), mixed)
+        yield (i,), bidder_deviations(auction, game, i, profile.for_bidder(i), mixed)
 
 
 def _verify(
     auction: Auction, profile: Profile, eps: Fraction, mixed: bool, first: bool = False
 ) -> VerificationReport:
-    """Run the deviation loop; ``first`` stops at the first violation."""
+    """Run the deviation loop; ``first`` stops at the first violation.  Each
+    record is compared once and its violation reported for each of its seats."""
     max_gain = ZERO
     violations = []
-    for bidder, value, played, best_bid, gain in _deviations(auction, profile, mixed):
-        if gain > max_gain:
-            max_gain = gain
-        if gain > eps:
-            violations.append(Violation(bidder, value, played, best_bid, gain))
-            if first:
-                break
+    for seats, records in _deviations(auction, profile, mixed):
+        bad = []
+        for record in records:
+            max_gain = max(max_gain, record[-1])
+            if record[-1] > eps:
+                bad.append(record[1:])
+                if first:
+                    break
+        violations += [Violation(i, *r) for i in seats for r in bad]
+        if first and bad:
+            break
     return VerificationReport(
         ok=not violations, eps=eps, max_gain=max_gain, violations=tuple(violations)
     )

@@ -25,10 +25,11 @@ returns a report instead of raising.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -101,6 +102,9 @@ class BidSpace:
 # priors
 # ---------------------------------------------------------------------------
 
+DiscreteIndex = namedtuple("DiscreteIndex", "values den by_value")
+
+
 @dataclass(frozen=True)
 class DiscretePrior:
     """Explicit joint pmf over value tuples."""
@@ -126,15 +130,30 @@ class DiscretePrior:
         return self.pmf.get(tuple(values), ZERO)
 
     @cached_property
-    def support_by_value(
-        self,
-    ) -> dict[tuple[int, Fraction], tuple[tuple[tuple[Fraction, ...], Fraction], ...]]:
-        """Support points grouped by (bidder, own value), in support order."""
-        out: dict = {}
-        for tup, m in self.support:
-            for i, v in enumerate(tup):
-                out.setdefault((i, v), []).append((tup, m))
-        return {key: tuple(points) for key, points in out.items()}
+    def index(self) -> DiscreteIndex:
+        """The support indexed once.  ``values``: the distinct values, sorted; a
+        value's id is its position.  ``den``: the lcm D of the masses'
+        denominators.  ``by_value[i]``: each own value v of bidder i, sorted, ->
+        (f_i(v), one (mass * D, opponents) per support point with v_i = v, in
+        support order, with opponents as (seat, value id) pairs)."""
+        first: dict = {}  # value -> position of first sight: one hash per entry
+        points = [([first.setdefault(v, len(first)) for v in t], m) for t, m in self.support]
+        values = sorted(first)
+        rank = {first[v]: k for k, v in enumerate(values)}
+        den = lcm(*(m.denominator for _, m in self.support))
+        by_id: dict = {}  # bidder -> own value id -> [(mass * D, opponents)]
+        for firsts, m in points:
+            opp = list(enumerate(map(rank.__getitem__, firsts)))
+            for i, (_, k) in enumerate(opp):
+                by_id.setdefault(i, {}).setdefault(k, []).append(
+                    (m.numerator * (den // m.denominator), tuple(opp[:i] + opp[i + 1:]))
+                )
+        by_value = tuple(
+            {values[k]: (Fraction(sum(m for m, _ in sc), den), tuple(sc))
+             for k, sc in sorted(by_id.get(i, {}).items())}
+            for i in range(self.n)
+        )
+        return DiscreteIndex(tuple(values), den, by_value)
 
 
 @dataclass(frozen=True)
@@ -578,10 +597,7 @@ def marginal(prior: Prior, i: int, n: int | None = None):
     if isinstance(prior, DiscretePrior):
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
-        out: dict[Fraction, Fraction] = {}
-        for tup, m in prior.support:
-            out[tup[i]] = out.get(tup[i], ZERO) + m
-        return dict(sorted(out.items()))
+        return {v: fi for v, (fi, _) in prior.index.by_value[i].items()}
     if isinstance(prior, IIDMarginal):
         return prior
     if isinstance(prior, BoxDensity):
@@ -609,7 +625,7 @@ def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
     if isinstance(prior, DiscretePrior):
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
-        return sum((m for _, m in prior.support_by_value.get((i, v), ())), ZERO)
+        return prior.index.by_value[i].get(v, (ZERO,))[0]
     if isinstance(prior, IIDMarginal):
         return sum((p for a, c, p in prior.pieces if a <= v <= c), ZERO)
     raise TypeError(f"unsupported prior: {type(prior).__name__}")

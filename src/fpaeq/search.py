@@ -159,8 +159,8 @@ def _walk(
 
     def gains(idx: tuple, profile: Profile):
         if groups is not None:
-            for record in engine._deviations(auction, profile, False):
-                yield record[-1]
+            for _, records in engine._deviations(auction, profile, False):
+                yield from (record[-1] for record in records)
             return
         for i, c in enumerate(idx):
             key = idx[:i] + idx[i + 1 :]

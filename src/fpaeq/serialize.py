@@ -34,6 +34,19 @@ def fmt(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _interner():
+    """``rat`` that parses each distinct string once, so equal values in one
+    document are one object."""
+    seen: dict[str, Fraction] = {}
+
+    def parse(x) -> Fraction:
+        if type(x) is str:
+            return seen[x] if x in seen else seen.setdefault(x, rat(x))
+        return rat(x)
+
+    return parse
+
+
 def _take(doc: dict, fields: dict[str, bool], kind: str) -> dict[str, Any]:
     """Pop known fields (name -> required); reject anything left over."""
     doc = dict(doc)
@@ -108,6 +121,7 @@ def instance_to_doc(auction: Auction) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Auction:
+    rat = _interner()
     kind = doc.get("kind")
     if kind == "dfpa":
         f = _take(doc, {"bids": True, "value_spaces": True, "support": True}, kind)
@@ -117,7 +131,7 @@ def instance_from_doc(doc: dict) -> Auction:
             e = _take(entry, {"values": True, "mass": True}, "dfpa support entry")
             support.append(([rat(v) for v in e["values"]], rat(e["mass"])))
         prior = DiscretePrior(len(spaces), spaces, support)
-        return Auction(BidSpace(f["bids"]), prior)
+        return Auction(BidSpace(map(rat, f["bids"])), prior)
     if kind == "dfpa-sym":
         f = _take(
             doc,
@@ -133,7 +147,7 @@ def instance_from_doc(doc: dict) -> Auction:
         prior = SymmetricDiscretePrior(
             n, groups, [[rat(v) for v in vs] for vs in f["group_values"]], support
         )
-        return Auction(BidSpace(f["bids"]), prior)
+        return Auction(BidSpace(map(rat, f["bids"])), prior)
     if kind == "cfpa-box":
         f = _take(doc, {"bids": True, "n": True, "boxes": True, "groups": False}, kind)
         boxes = []
@@ -144,13 +158,13 @@ def instance_from_doc(doc: dict) -> Auction:
             )
         groups = None if f["groups"] is None else [tuple(g) for g in f["groups"]]
         prior = BoxDensity(int(f["n"]), boxes, groups)
-        return Auction(BidSpace(f["bids"]), prior)
+        return Auction(BidSpace(map(rat, f["bids"])), prior)
     if kind == "cfpa-iid":
         f = _take(doc, {"bids": True, "n": True, "breakpoints": True, "densities": True}, kind)
         prior = IIDMarginal(
             [rat(a) for a in f["breakpoints"]], [rat(p) for p in f["densities"]]
         )
-        return Auction(BidSpace(f["bids"]), prior, n=int(f["n"]))
+        return Auction(BidSpace(map(rat, f["bids"])), prior, n=int(f["n"]))
     raise FormatError(f"unknown instance kind {kind!r}")
 
 
@@ -191,6 +205,10 @@ def strategy_to_doc(strategy) -> dict:
 
 
 def strategy_from_doc(doc: dict):
+    return _strategy_from_doc(doc, _interner())
+
+
+def _strategy_from_doc(doc: dict, rat):
     kind = doc.get("kind")
     if kind == "pure":
         f = _take(doc, {"bidder": True, "assignments": True}, kind)
@@ -213,7 +231,7 @@ def strategy_from_doc(doc: dict):
     if kind == "jump":
         f = _take(doc, {"bids": True, "thresholds": True}, kind)
         return JumpStrategy(
-            BidSpace(f["bids"]), [rat(x) for x in f["thresholds"]]
+            BidSpace(map(rat, f["bids"])), [rat(x) for x in f["thresholds"]]
         )
     raise FormatError(f"unknown strategy kind {kind!r}")
 
@@ -232,7 +250,8 @@ def profile_from_doc(doc: dict) -> Profile:
     if doc.get("kind") != "profile":
         raise FormatError(f"expected profile document, got kind {doc.get('kind')!r}")
     f = _take(doc, {"strategies": True, "groups": False}, "profile")
-    strategies = [strategy_from_doc(s) for s in f["strategies"]]
+    rat = _interner()
+    strategies = [_strategy_from_doc(s, rat) for s in f["strategies"]]
     groups = None if f["groups"] is None else [tuple(g) for g in f["groups"]]
     return Profile(strategies, groups)
 

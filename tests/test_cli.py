@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from fpaeq.cli import (
     EXIT_SEARCH_NONE,
     EXIT_VALIDATION,
     EXIT_VERIFY_FAIL,
+    build_parser,
     main,
 )
 from fpaeq.model import (
@@ -494,6 +496,37 @@ class TestBoundaryValidation:
         argv = ["project", "--instance", inst, "--profile", prof, "--delta", "1/8"]
         self._rejected(capsys, *argv)
 
+    def test_jump_search_needs_a_continuous_instance(self, capsys, sat13):
+        inst, _, _ = sat13
+        self._rejected(capsys, "jump-search", "--instance", inst)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenReports:
+    """verify on the 23-bidder, 62-point from-sat instance of
+    (x1 or not x2 or x3) and (not x1 or x2) at its eps threshold prints the
+    reports in tests/golden, captured at 24c3272."""
+
+    @pytest.mark.parametrize(
+        "name, bits, expected",
+        [("satisfying", "1,1,0", EXIT_OK), ("falsifying", "1,0,0", EXIT_VERIFY_FAIL)],
+    )
+    def test_sat3_verify_report(self, capsys, tmp_path, name, bits, expected):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n")
+        prefix = tmp_path / "red"
+        assert run(capsys, "from-sat", cnf, "--out-prefix", prefix)[0] == EXIT_OK
+        prof = tmp_path / "encoded.json"
+        argv = ["encode", "--map", f"{prefix}.map.json", "--assignment", bits, "--out", prof]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        eps = json.loads((tmp_path / "red.params.json").read_text())["eps_threshold"]
+        argv = ["verify", "--instance", f"{prefix}.instance.json", "--profile", prof]
+        code, out, _ = run(capsys, *argv, "--eps", eps)
+        assert code == expected
+        assert out == (GOLDEN / f"sat3_verify_{name}.stdout").read_text(encoding="utf-8")
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self, capsys, files):
@@ -510,6 +543,19 @@ class TestDeterminism:
         monkeypatch.setenv("FPAEQ_THREADS", "4")
         threaded = run(capsys, "verify", "--instance", inst, "--profile", prof)
         assert single == threaded
+
+    def test_reused_parser_keeps_no_state(self, capsys, files):
+        _, inst, prof = files
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instance", inst])  # no --profile
+        assert exc.value.code == 2
+        capsys.readouterr()
+        verify = ["verify", "--instance", inst, "--profile", prof]
+        code, out, _ = run(capsys, *verify, "--eps", "1/2")
+        assert code == EXIT_OK and json.loads(out)["eps"] == "1/2"
+        code, out, _ = run(capsys, *verify)
+        assert json.loads(out)["eps"] == "0"
+        assert build_parser() is build_parser()
 
     def test_io_error_record(self, capsys):
         code, _, err = run(capsys, "validate", "--instance", "/nonexistent.json")

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fpaeq.engine import (
+    Violation,
+    VerificationReport,
     _Game,
     _kind,
     _win_masses,
@@ -755,3 +757,79 @@ class TestIIDFolding:
             for k in range(nbids)
         ]
         assert _win_masses(scenarios, table, nbids) == expected
+
+
+# ---------------------------------------------------------------------------
+# integer masses over one denominator: the discrete index and its buckets
+# ---------------------------------------------------------------------------
+
+def _integer_kernel_case(rng, kind, mixed):
+    """(auction, profile, checked bidders): masses with mixed denominators, a
+    single support point of mass 1 (D = 1), or a group-succinct prior."""
+    if kind == "symmetric":
+        auc = random_symmetric_auction(rng)
+        groups = auc.prior.groups
+        spaces, seats = auc.prior.group_values, range(len(groups))
+    else:
+        n = rng.randint(2, 3)
+        grid = [F(k, 8) for k in range(9)]
+        spaces = [tuple(sorted(rng.sample(grid, rng.randint(1, 3)))) for _ in range(n)]
+        pool = list(itertools.product(*spaces))
+        rng.shuffle(pool)
+        if kind == "single":
+            support = [(pool[0], F(1))]
+        else:
+            tuples = pool[: rng.randint(2, 4)]
+            raw = [F(rng.randint(1, 4), rng.choice((1, 2, 3, 5, 7))) for _ in tuples]
+            support = [(t, w / sum(raw)) for t, w in zip(tuples, raw)]
+        bids = [F(0)] + sorted(rng.sample([F(k, 9) for k in range(1, 10)], rng.randint(1, 3)))
+        auc = Auction(BidSpace(bids), DiscretePrior(n, spaces, support))
+        groups, seats = None, range(n)
+    make = _random_mixed if mixed else _random_pure
+    profile = Profile([make(rng, s, spaces[s], list(auc.bids)) for s in seats], groups=groups)
+    return auc, profile, [g[0] for g in groups] if groups else range(auc.n)
+
+
+def _enum_report(auc, profile, eps, bidders):
+    """The verification report from enum_utility_dfpa at every checked
+    bidder, support value and bid."""
+    bids = list(auc.bids)
+    max_gain, violations = F(0), []
+    for i in bidders:
+        for v in support_values(auc.prior, i):
+            us = [enum_utility_dfpa(auc, i, v, b, profile) for b in bids]
+            played = _row(profile.for_bidder(i), v)
+            current = sum(w * us[bids.index(b)] for b, w in played.items())
+            top = max(us)
+            best_bid = bids[us.index(top)] if top > current else None
+            gain = max(top, current) - current
+            max_gain = max(max_gain, gain)
+            if gain > eps:
+                violations.append(Violation(i, v, tuple(sorted(played)), best_bid, gain))
+    return VerificationReport(not violations, eps, max_gain, tuple(violations))
+
+
+class TestIntegerKernel:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rng=st.randoms(use_true_random=False),
+        kind=st.sampled_from(["mixed-den", "single", "symmetric"]),
+        mixed=st.booleans(),
+        eps=st.sampled_from([F(0), F(1, 20), F(1, 7)]),
+    )
+    def test_matches_enumeration_in_fractions(self, rng, kind, mixed, eps):
+        auc, profile, bidders = _integer_kernel_case(rng, kind, mixed)
+        game = _Game(auc, profile, kind == "symmetric")
+        for i in bidders:
+            for v in support_values(auc.prior, i):
+                fi, H = game.win_mass(i, v)
+                assert all(type(h) is F for h in H)
+                assert H == _reference_win_masses(auc, profile, i, v)
+                for b in auc.bids:
+                    expected = enum_utility_dfpa(auc, i, v, b, profile)
+                    for u in (utility(auc, i, v, b, profile), utility_dfpa(auc, i, v, b, profile)):
+                        assert type(u) is F and u == expected
+        report = (verify_mbne if mixed else verify_pbne)(auc, profile, eps)
+        assert report == _enum_report(auc, profile, eps, bidders)
+        assert type(report.max_gain) is F
+        assert all(type(x.gain) is F for x in report.violations)
