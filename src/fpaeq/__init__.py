@@ -32,16 +32,11 @@ from .model import (
 )
 from .engine import (
     BestResponseReport,
-    UtilityQuery,
     VerificationReport,
     best_response,
     check_affiliation,
     check_monotone,
     utility,
-    utility_cfpa,
-    utility_cfpa_symmetric,
-    utility_dfpa,
-    utility_dfpa_symmetric,
     verify_mbne,
     verify_pbne,
     win_prob_dfpa,
@@ -60,7 +55,6 @@ __all__ = [
     "PureStrategy",
     "Rational",
     "SymmetricDiscretePrior",
-    "UtilityQuery",
     "VerificationReport",
     "best_response",
     "check_affiliation",
@@ -72,10 +66,6 @@ __all__ = [
     "multiplicity",
     "rat",
     "utility",
-    "utility_cfpa",
-    "utility_cfpa_symmetric",
-    "utility_dfpa",
-    "utility_dfpa_symmetric",
     "validate_instance",
     "validate_profile",
     "validate_strategy",

@@ -41,6 +41,7 @@ from .serialize import (
     FormatError,
     dumps,
     fmt,
+    load_document,
     load_instance,
     load_profile,
     load_strategy,
@@ -120,6 +121,10 @@ def _load_profile(path: str, auction: Auction | None = None) -> Profile:
     return profile
 
 
+def _load_map(path: str) -> reduction.ReductionMap:
+    return reduction.map_from_doc(load_document(path))
+
+
 def _invalid(violations) -> CliError:
     return CliError(EXIT_VALIDATION, "validation", "; ".join(violations))
 
@@ -144,16 +149,6 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_PARSE, "parse", f"{path}: {exc}")
 
 
 def _violations_doc(report: engine.VerificationReport) -> dict:
@@ -339,7 +334,7 @@ def cmd_from_sat(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    rmap = reduction.map_from_doc(_load_json(args.map))
+    rmap = _load(_load_map, args.map)
     bits = [int(tok) for tok in args.assignment.split(",")]
     if len(bits) != len(rmap.var_hub) or any(b not in (0, 1) for b in bits):
         raise CliError(
@@ -357,7 +352,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    rmap = reduction.map_from_doc(_load_json(args.map))
+    rmap = _load(_load_map, args.map)
     profile = _load_profile(args.profile)
     if profile.groups is not None or len(profile.strategies) != rmap.n:
         raise _invalid([f"extract needs one strategy per bidder for {rmap.n} bidders"])

@@ -96,7 +96,6 @@ class PiecewisePoly:
         for j in range(len(self.coeffs)):
             if x <= bp[j + 1]:
                 return j
-        return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
         x = rat(x)

@@ -7,8 +7,8 @@ strictly below, built up one opponent at a time from the per-opponent masses
 probability is ``sum_r T[r] / (r+1)``, including the all-zero tie at b = 0.
 :func:`tie_dp` and :func:`win_from_ties` are that DP in its plain form.
 
-The fast path computes the win-mass vector ``f_i(v) * H(b)`` for every bid
-at once, in three pieces:
+The fast path computes one interim vector per (bidder i, value v): f_i(v) and
+the win probability ``H(b)`` for every bid at once, in three pieces:
 
 * scenarios -- one generator per prior kind (explicit discrete, group-succinct
   discrete with its arrangement counts, boxes, grouped boxes, iid) yields, for
@@ -23,23 +23,26 @@ at once, in three pieces:
 * kernel -- one pass over the scenarios for all bids.  Scenarios whose
   opponents all bid surely below (G = 1) or surely tie (g = 1) add their mass
   to one bucket per (bid, tie count); one surely above (g = G = 0) drops the
-  scenario; c split opponents sharing one row fold into a closed form.
+  scenario; c split opponents sharing one row fold into a closed form.  The
+  vector divides each entry of the sum by D * f_i(v) once.
 
-Utilities, best responses, verification and the search's candidate check
-all read that vector.  Verification runs :func:`bidder_deviations`, one
-deviation loop per (bidder, value) -- per cell for CFPA -- for each bidder
-against one game, or for bidder 0 alone, its records compared once for all
-seats, when every seat of an iid prior plays one strategy; ``verify_pbne``
-runs it to the end and ``is_pbne`` stops at the first violation.  The search runs it per bidder against games it shares
-between candidates with the same opponents.
+:func:`utility` is the one utility function: it builds a game over the bid,
+or over a distribution's bids, and weighs the utilities ``(v - b) * H(b)``.
+Best responses, verification and the search's candidate check read the same
+vector.  Verification runs :func:`bidder_deviations`, one deviation loop per
+(bidder, value) -- per cell for CFPA -- for each bidder against one game, or
+for bidder 0 alone, its records compared once for all seats, when every seat
+of an iid prior plays one strategy; ``verify_pbne`` runs it to the end and
+``is_pbne`` stops at the first violation.  The search runs it per bidder
+against games it shares between candidates with the same opponents.
 
 Utilities come in two normalizations:
 
 * interim (default) -- expectation over the conditional prior given the
   bidder's own value; this is the quantity in the equilibrium definitions.
-* raw -- interim times the bidder's marginal mass, i.e. the unnormalized
-  expectation over the joint.  Same argmax, convenient for reproducing
-  per-gadget tables of the hardness reduction.
+* raw -- interim times the bidder's marginal mass f_i(v), i.e. the
+  unnormalized expectation over the joint.  Same argmax, convenient for
+  reproducing per-gadget tables of the hardness reduction.
 """
 
 from __future__ import annotations
@@ -70,15 +73,6 @@ from .model import (
 )
 
 BidOrMix = Union[Fraction, dict]
-
-
-@dataclass(frozen=True)
-class UtilityQuery:
-    bidder: int
-    value: Fraction
-    bid: BidOrMix
-    opponents: Profile
-    raw: bool = False
 
 
 @dataclass(frozen=True)
@@ -350,20 +344,22 @@ def _win_masses(scenarios, table: _BidTable, nbids: int) -> list[Fraction]:
 
 class _Game:
     """An auction and a profile: the scenario generator of the prior's kind,
-    one bid table over ``bids`` and the kernel's vectors per (bidder, value).
+    one bid table over ``bids`` and the vectors per (bidder, value).
 
-    ``succinct`` selects the group-succinct generators, which read the
-    profile's strategies per group; otherwise opponents are per bidder.
+    ``succinct`` -- a per-group profile on a grouped prior -- selects the
+    group-succinct generators, which read the profile's strategies per
+    group; otherwise opponents are per bidder.
     """
 
-    def __init__(self, auction: Auction, profile: Profile, succinct: bool, bids=None):
+    def __init__(self, auction: Auction, profile: Profile, bids=None):
         prior = auction.prior
         self.bids = tuple(auction.bids if bids is None else bids)
         self._memo: dict = {}
         self._iid = isinstance(prior, IIDMarginal)
-        seat = profile.strategies.__getitem__ if succinct else profile.for_bidder
+        self.succinct = profile.groups is not None and getattr(prior, "groups", None) is not None
+        seat = profile.strategies.__getitem__ if self.succinct else profile.for_bidder
         if auction.is_discrete:
-            if succinct:
+            if self.succinct:
                 self._scenarios = _group_scenarios
                 masses = partial(_discrete_masses, self.bids)
             else:
@@ -378,7 +374,7 @@ class _Game:
                 self._scenarios = partial(_iid_scenarios, auction.n)
                 masses = partial(_iid_masses, positions, prior.pieces)
             elif isinstance(prior, BoxDensity):
-                self._scenarios = _grouped_box_scenarios if succinct else _box_scenarios
+                self._scenarios = _grouped_box_scenarios if self.succinct else _box_scenarios
                 masses = partial(_jump_masses, positions)
             else:
                 raise TypeError(f"unsupported prior {type(prior).__name__}")
@@ -388,9 +384,8 @@ class _Game:
         self._table = _BidTable(seat, masses)
 
     def vector(self, i: int, v: Fraction):
-        """(f_i(v), [f_i(v) * H_i(b; v) for b in bids]) on DFPA, memoised per
-        (bidder, value); (f_i(v), [H_i(b; v) for b in bids]) on CFPA,
-        normalised once per piece of the axis cuts.  No vector when
+        """(f_i(v), [H_i(b; v) for b in bids]), memoised per (bidder, value)
+        on DFPA and per piece of the axis cuts on CFPA.  No vector when
         f_i(v) = 0."""
         if self.pieces is None:
             key = (i, v)
@@ -406,22 +401,13 @@ class _Game:
                     self._memo[i,] = _win_masses(scenarios, self._table, len(self.bids))
                 vec = self._memo[i,]
             elif fi != 0:
-                vec = _win_masses(scenarios, self._table, len(self.bids))
-                norm = den if self.pieces is None else den * fi
-                vec = [x / norm for x in vec]
+                norm = den * fi
+                vec = [x / norm for x in _win_masses(scenarios, self._table, len(self.bids))]
             self._memo[key] = fi, vec
         return self._memo[key]
 
-    def win_mass(self, i: int, v: Fraction):
-        """(f_i(v), [f_i(v) * H_i(b; v) for b in bids]); no vector when
-        f_i(v) = 0."""
-        fi, vec = self.vector(i, v)
-        if self.pieces is None or vec is None:
-            return fi, vec
-        return fi, [fi * x for x in vec]
-
     def supported(self, i: int, v: Fraction):
-        fi, H = self.win_mass(i, v)
+        fi, H = self.vector(i, v)
         if fi == 0:
             raise ValueError(f"value {v} outside marginal support of bidder {i}")
         return fi, H
@@ -430,18 +416,7 @@ class _Game:
         """Utility of each pure bid."""
         fi, H = self.supported(i, v)
         out = [(v - b) * h for b, h in zip(self.bids, H)]
-        return out if raw else [u / fi for u in out]
-
-
-def _succinct(auction: Auction, profile: Profile) -> bool:
-    """Per-group profile on a grouped prior: use the succinct generators."""
-    return profile.groups is not None and getattr(auction.prior, "groups", None) is not None
-
-
-def _mix_utility(game: _Game, i: int, v: Fraction, mix: dict, raw: bool) -> Fraction:
-    fi, H = game.supported(i, v)
-    total = sum((w * (v - b) * h for (b, w), h in zip(mix.items(), H)), ZERO)
-    return total if raw else total / fi
+        return [u * fi for u in out] if raw else out
 
 
 def _as_mix(bid: BidOrMix) -> dict:
@@ -450,91 +425,7 @@ def _as_mix(bid: BidOrMix) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# DFPA utilities
-# ---------------------------------------------------------------------------
-
-def win_prob_dfpa(
-    auction: Auction, i: int, v: Fraction, b: Fraction, opponents: Profile
-) -> Fraction:
-    """Probability that bidder i wins with bid b, conditioned on value v."""
-    fi, H = _Game(auction, opponents, False, [rat(b)]).supported(i, rat(v))
-    return H[0] / fi
-
-
-def utility_dfpa(
-    auction: Auction,
-    i: int,
-    v: Fraction,
-    bid: BidOrMix,
-    opponents: Profile,
-    raw: bool = False,
-) -> Fraction:
-    """Interim utility of bidding ``bid`` (a bid or a distribution over bids)."""
-    mix = _as_mix(bid)
-    return _mix_utility(_Game(auction, opponents, False, mix), i, rat(v), mix, raw)
-
-
-def utility_dfpa_symmetric(
-    auction: Auction,
-    i: int,
-    v: Fraction,
-    bid: BidOrMix,
-    profile: Profile,
-    raw: bool = False,
-) -> Fraction:
-    """Succinct-representation utility; equals utility_dfpa on the expansion.
-
-    Requires a symmetric profile (one strategy per group).
-    """
-    if not isinstance(auction.prior, SymmetricDiscretePrior):
-        raise TypeError("utility_dfpa_symmetric needs a SymmetricDiscretePrior")
-    if profile.groups is None:
-        raise ValueError("symmetric utility requires a per-group profile")
-    mix = _as_mix(bid)
-    return _mix_utility(_Game(auction, profile, True, mix), i, rat(v), mix, raw)
-
-
-# ---------------------------------------------------------------------------
-# CFPA utilities
-# ---------------------------------------------------------------------------
-
-def utility_cfpa(
-    auction: Auction,
-    i: int,
-    v: Fraction,
-    b: Fraction,
-    opponents: Profile,
-    raw: bool = False,
-) -> Fraction:
-    """Interim utility in a box or iid CFPA against jump-strategy opponents.
-
-    Within each conditional-support box the opponents' values are independent
-    and uniform per coordinate; iid opponents are averaged over the marginal.
-    """
-    if not isinstance(auction.prior, (BoxDensity, IIDMarginal)):
-        raise TypeError("utility_cfpa needs a BoxDensity or IIDMarginal prior")
-    return _Game(auction, opponents, False, [rat(b)]).utilities(i, rat(v), raw)[0]
-
-
-def utility_cfpa_symmetric(
-    auction: Auction,
-    i: int,
-    v: Fraction,
-    b: Fraction,
-    profile: Profile,
-    raw: bool = False,
-) -> Fraction:
-    """Succinct group-symmetric CFPA utility; equals the expanded computation."""
-    prior = auction.prior
-    if not isinstance(prior, BoxDensity) or prior.groups is None:
-        raise TypeError("utility_cfpa_symmetric needs a grouped BoxDensity")
-    if profile.groups is None:
-        raise ValueError("symmetric utility requires a per-group profile")
-    return _Game(auction, profile, True, [rat(b)]).utilities(i, rat(v), raw)[0]
-
-
-# ---------------------------------------------------------------------------
-# dispatch helpers
+# utilities and best responses
 # ---------------------------------------------------------------------------
 
 def utility(
@@ -545,19 +436,23 @@ def utility(
     opponents: Profile,
     raw: bool = False,
 ) -> Fraction:
-    """Interim (or raw) utility, dispatching on the instance kind."""
-    succinct = _succinct(auction, opponents)
-    if auction.is_discrete:
-        fn = utility_dfpa_symmetric if succinct else utility_dfpa
-        return fn(auction, i, v, bid, opponents, raw)
-    fn = utility_cfpa_symmetric if succinct else utility_cfpa
-    return fn(auction, i, v, rat(bid), opponents, raw)
+    """Interim (or raw) utility of bidding ``bid``: a bid or, on DFPA, a
+    distribution over bids.
+
+    On CFPA the opponents play jump strategies; within each
+    conditional-support box their values are independent and uniform per
+    coordinate, and iid opponents are averaged over the marginal.
+    """
+    mix = _as_mix(bid) if auction.is_discrete else {rat(bid): ONE}
+    us = _Game(auction, opponents, mix).utilities(i, rat(v), raw)
+    return sum((w * u for w, u in zip(mix.values(), us)), ZERO)
 
 
-def evaluate(auction: Auction, query: UtilityQuery) -> Fraction:
-    return utility(
-        auction, query.bidder, query.value, query.bid, query.opponents, query.raw
-    )
+def win_prob_dfpa(
+    auction: Auction, i: int, v: Fraction, b: Fraction, opponents: Profile
+) -> Fraction:
+    """Probability that bidder i wins with bid b, conditioned on value v."""
+    return _Game(auction, opponents, [rat(b)]).supported(i, rat(v))[1][0]
 
 
 def best_response(
@@ -571,7 +466,7 @@ def best_response(
     """Argmax bids, best utility and the margin to the best non-argmax bid."""
     v = rat(v)
     candidates = [b for b in auction.bids if not no_overbidding or b <= v]
-    game = _Game(auction, opponents, _succinct(auction, opponents), candidates)
+    game = _Game(auction, opponents, candidates)
     utils = dict(zip(candidates, game.utilities(i, v, raw)))
     best = max(utils.values())
     argmax = tuple(b for b in candidates if utils[b] == best)
@@ -635,7 +530,7 @@ def _cfpa_cells(axis_cuts: Sequence[Fraction], own: JumpStrategy):
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bool):
+def bidder_deviations(auction: Auction, game: _Game, i: int, strategy):
     """Yield (bidder, value, played, best_bid, gain) for every checked
     deviation of bidder i playing ``strategy``, value by value.  ``game``
     holds the opponents; bidder i's own seat in it is never read.
@@ -652,14 +547,12 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bo
     position = {b: k for k, b in enumerate(bids)}
     if auction.is_discrete:
         for v in support_values(auction.prior, i):
-            if strategy is not None:
-                played = _mixed_row(strategy, v) if mixed else {strategy.bid_at(v): ONE}
-            fi, H = game.win_mass(i, v)
-            # raw utilities: the interim ones times f_i(v) > 0
+            _, H = game.vector(i, v)
             us = [(v - b) * h for b, h in zip(bids, H)]
             if strategy is None:
                 rows = zip(((b,) for b in bids), us)
             else:
+                played = _mixed_row(strategy, v)
                 current = ZERO
                 for b, w in played.items():
                     if b not in position:
@@ -670,7 +563,7 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bo
             top_bid = bids[us.index(top)]
             for played_bids, current in rows:
                 best, best_bid = (top, top_bid) if top > current else (current, None)
-                yield i, v, played_bids, best_bid, (best - current) / fi
+                yield i, v, played_bids, best_bid, best - current
         return
     if not isinstance(strategy, JumpStrategy):
         raise TypeError("CFPA verification expects jump strategies")
@@ -686,28 +579,27 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy, mixed: bo
                 yield i, vpt, cur, b, (vpt - b) * hb - current
 
 
-def _deviations(auction: Auction, profile: Profile, mixed: bool):
+def _deviations(auction: Auction, profile: Profile):
     """(seats, records) per checked bidder against one game of the profile."""
-    succinct = _succinct(auction, profile)
-    game = _Game(auction, profile, succinct)
+    game = _Game(auction, profile)
     first = profile.strategies[0]
     if game._iid and all(s == first for s in profile.strategies):
         # exchangeable seats: bidder 0's records hold for every seat
-        yield range(auction.n), bidder_deviations(auction, game, 0, first, mixed)
+        yield range(auction.n), bidder_deviations(auction, game, 0, first)
         return
-    bidders = [g[0] for g in auction.prior.groups] if succinct else range(auction.n)
+    bidders = [g[0] for g in auction.prior.groups] if game.succinct else range(auction.n)
     for i in bidders:
-        yield (i,), bidder_deviations(auction, game, i, profile.for_bidder(i), mixed)
+        yield (i,), bidder_deviations(auction, game, i, profile.for_bidder(i))
 
 
 def _verify(
-    auction: Auction, profile: Profile, eps: Fraction, mixed: bool, first: bool = False
+    auction: Auction, profile: Profile, eps: Fraction, first: bool = False
 ) -> VerificationReport:
     """Run the deviation loop; ``first`` stops at the first violation.  Each
     record is compared once and its violation reported for each of its seats."""
     max_gain = ZERO
     violations = []
-    for seats, records in _deviations(auction, profile, mixed):
+    for seats, records in _deviations(auction, profile):
         bad = []
         for record in records:
             max_gain = max(max_gain, record[-1])
@@ -723,6 +615,12 @@ def _verify(
     )
 
 
+def _pure(profile: Profile) -> Profile:
+    if any(isinstance(s, MixedStrategy) for s in profile.strategies):
+        raise TypeError("the profile holds a mixed strategy; verify it with verify_mbne")
+    return profile
+
+
 def verify_pbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
     """Check the epsilon-PBNE condition for every bidder and support value.
 
@@ -732,12 +630,12 @@ def verify_pbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
     criterion; deviation gains are linear per cell so endpoint limits are
     exact).
     """
-    return _verify(auction, profile, rat(eps), mixed=False)
+    return _verify(auction, _pure(profile), rat(eps))
 
 
 def is_pbne(auction: Auction, profile: Profile, eps) -> bool:
     """``verify_pbne(...).ok``, stopping at the first violation."""
-    return _verify(auction, profile, rat(eps), mixed=False, first=True).ok
+    return _verify(auction, _pure(profile), rat(eps), first=True).ok
 
 
 def verify_mbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
@@ -745,4 +643,4 @@ def verify_mbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
     eps = rat(eps)
     if not auction.is_discrete:
         raise TypeError("mixed-strategy verification applies to DFPA instances")
-    return _verify(auction, profile, eps, mixed=True)
+    return _verify(auction, profile, eps)

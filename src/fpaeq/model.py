@@ -447,9 +447,6 @@ class MixedStrategy:
     def row(self, v: Fraction) -> dict[Fraction, Fraction]:
         return self.as_dict[v]
 
-    def support_at(self, v: Fraction) -> tuple[Fraction, ...]:
-        return tuple(b for b, w in sorted(self.row(v).items()) if w > 0)
-
 
 @dataclass(frozen=True)
 class JumpStrategy:

@@ -39,6 +39,7 @@ from .model import (
     SymmetricDiscretePrior,
     rat,
 )
+from .serialize import FormatError, fmt
 
 V_LOW = Fraction(23, 64)
 VALUES = (ZERO, V_LOW, ONE)
@@ -495,25 +496,26 @@ def map_to_doc(rmap: ReductionMap) -> dict:
 def map_from_doc(doc: dict) -> ReductionMap:
     if doc.get("kind") != "reduction-map":
         raise ValueError(f"expected reduction-map document, got {doc.get('kind')!r}")
-    return ReductionMap(
-        roles=tuple(
-            Role(r["kind"], r["variable"], r["clause"], r["slot"])
-            for r in doc["roles"]
-        ),
-        chain=chain_from_doc(doc["chain"]),
-        var_hub=tuple(doc["var_hub"]),
-        var_literals=tuple(tuple(t) for t in doc["var_literals"]),
-        lit_consumers=tuple(tuple(t) for t in doc["lit_consumers"]),
-        clause_inputs=tuple(tuple(t) for t in doc["clause_inputs"]),
-        clause_or1=tuple(doc["clause_or1"]),
-        clause_or2=tuple(doc["clause_or2"]),
-        clause_out=tuple(tuple(t) for t in doc["clause_out"]),
-    )
+    try:
+        return ReductionMap(
+            roles=tuple(
+                Role(r["kind"], r["variable"], r["clause"], r["slot"])
+                for r in doc["roles"]
+            ),
+            chain=chain_from_doc(doc["chain"]),
+            var_hub=tuple(doc["var_hub"]),
+            var_literals=tuple(tuple(t) for t in doc["var_literals"]),
+            lit_consumers=tuple(tuple(t) for t in doc["lit_consumers"]),
+            clause_inputs=tuple(tuple(t) for t in doc["clause_inputs"]),
+            clause_or1=tuple(doc["clause_or1"]),
+            clause_or2=tuple(doc["clause_or2"]),
+            clause_out=tuple(tuple(t) for t in doc["clause_out"]),
+        )
+    except KeyError as exc:
+        raise FormatError(f"reduction-map document lacks field {exc.args[0]!r}") from None
 
 
 def chain_to_doc(chain: DeltaChain) -> dict:
-    from .serialize import fmt
-
     doc = {
         "delta_not": fmt(chain.d_not),
         "delta_proj": fmt(chain.d_proj),

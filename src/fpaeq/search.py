@@ -159,7 +159,7 @@ def _walk(
 
     def gains(idx: tuple, profile: Profile):
         if groups is not None:
-            for _, records in engine._deviations(auction, profile, False):
+            for _, records in engine._deviations(auction, profile):
                 yield from (record[-1] for record in records)
             return
         for i, c in enumerate(idx):
@@ -171,7 +171,7 @@ def _walk(
             if cells is not None:
                 yield from map(table.__getitem__, cells)
                 continue
-            for record in engine.bidder_deviations(auction, table, i, own, False):
+            for record in engine.bidder_deviations(auction, table, i, own):
                 yield record[-1]
 
     checked = 0
@@ -193,10 +193,10 @@ def _walk(
 def _table(auction: Auction, profile: Profile, i: int):
     """Bidder i's table against the profile's other seats: on DFPA the gains
     of every (support value, bid), value-major; on CFPA the game."""
-    game = engine._Game(auction, profile, False)
+    game = engine._Game(auction, profile)
     if not auction.is_discrete:
         return game
-    return [record[-1] for record in engine.bidder_deviations(auction, game, i, None, False)]
+    return [record[-1] for record in engine.bidder_deviations(auction, game, i, None)]
 
 
 def enumerate_pure_equilibria(

@@ -21,8 +21,6 @@ from fpaeq.engine import (
     check_affiliation,
     check_monotone,
     utility,
-    utility_dfpa,
-    utility_dfpa_symmetric,
     verify_mbne,
     verify_pbne,
     win_prob_dfpa,
@@ -395,7 +393,7 @@ def test_criterion_7_dp_vs_enumeration():
             assert win_prob_dfpa(auc, i, v, b, profile) == enum_win_prob_dfpa(
                 auc, i, v, b, profile
             )
-            assert utility_dfpa(auc, i, v, b, profile) == enum_utility_dfpa(
+            assert utility(auc, i, v, b, profile) == enum_utility_dfpa(
                 auc, i, v, b, profile
             )
             checks += 2
@@ -415,8 +413,8 @@ def test_criterion_7_dp_vs_enumeration():
         values = [v for v, m in marginal(auc.prior, i).items() if m > 0]
         v = rng.choice(values)
         for b in auc.bids:
-            succinct = utility_dfpa_symmetric(auc, i, v, b, prof)
-            assert succinct == utility_dfpa(expanded_auc, i, v, b, expanded_prof)
+            succinct = utility(auc, i, v, b, prof)
+            assert succinct == utility(expanded_auc, i, v, b, expanded_prof)
             assert succinct == enum_utility_dfpa(expanded_auc, i, v, b, expanded_prof)
             checks += 2
     report(7, f"200 random instances, {checks} exact agreements", started, 60)

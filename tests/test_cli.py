@@ -501,6 +501,27 @@ class TestBoundaryValidation:
         self._rejected(capsys, "jump-search", "--instance", inst)
 
 
+class TestMapDocuments:
+    """A --map file that is not a whole reduction-map object exits 13 with
+    the parse error, on both verbs that read one."""
+
+    @pytest.mark.parametrize("verb", ["encode", "extract"])
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [([1, 2], "JSON object"), ({"kind": "reduction-map"}, "'roles'")],
+        ids=["list", "no-roles"],
+    )
+    def test_malformed_map(self, capsys, tmp_path, sat13, verb, doc, detail):
+        _, _, prof = sat13
+        path = tmp_path / "bad.map.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--assignment", "1,0"] if verb == "encode" else ["--profile", prof]
+        code, out, err = run(capsys, verb, "--map", path, *extra)
+        assert code == EXIT_PARSE and out == ""
+        error = json.loads(err)
+        assert error["error"] == "parse" and detail in error["detail"]
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

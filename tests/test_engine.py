@@ -18,10 +18,6 @@ from fpaeq.engine import (
     is_pbne,
     tie_dp,
     utility,
-    utility_cfpa,
-    utility_cfpa_symmetric,
-    utility_dfpa,
-    utility_dfpa_symmetric,
     verify_mbne,
     verify_pbne,
     win_prob_dfpa,
@@ -131,19 +127,19 @@ class TestUtilityDfpa:
         hub, lits = names["hub"], names["lits"]
         prof = Profile([_strategy(hub, S0)] + [_strategy(l, S0) for l in lits])
         j = lits[0]
-        assert scale * utility_dfpa(auc, j, V_LOW, F(1, 7), prof, raw=True) == F(
+        assert scale * utility(auc, j, V_LOW, F(1, 7), prof, raw=True) == F(
             2231, 8192
         )
-        assert scale * utility_dfpa(auc, j, F(1), F(2, 7), prof, raw=True) == F(5, 7)
+        assert scale * utility(auc, j, F(1), F(2, 7), prof, raw=True) == F(5, 7)
 
     def test_bid_at_value_gives_zero(self, prop34, prop34_nonmonotone):
-        assert utility_dfpa(prop34, 0, F(1, 2), F(1, 2), prop34_nonmonotone) == 0
+        assert utility(prop34, 0, F(1, 2), F(1, 2), prop34_nonmonotone) == 0
 
     def test_mixed_own_bid_averages(self, prop34, prop34_nonmonotone):
-        u1 = utility_dfpa(prop34, 0, F(1, 2), F(3, 10), prop34_nonmonotone)
-        u2 = utility_dfpa(prop34, 0, F(1, 2), F(1, 10), prop34_nonmonotone)
+        u1 = utility(prop34, 0, F(1, 2), F(3, 10), prop34_nonmonotone)
+        u2 = utility(prop34, 0, F(1, 2), F(1, 10), prop34_nonmonotone)
         mix = {F(3, 10): F(1, 3), F(1, 10): F(2, 3)}
-        assert utility_dfpa(prop34, 0, F(1, 2), mix, prop34_nonmonotone) == (
+        assert utility(prop34, 0, F(1, 2), mix, prop34_nonmonotone) == (
             u1 / 3 + 2 * u2 / 3
         )
 
@@ -156,10 +152,10 @@ class TestUtilityDfpa:
             values = [v for v, m in marginal(auc.prior, i).items() if m > 0]
             v = rng.choice(values)
             b = rng.choice(list(auc.bids))
-            assert utility_dfpa(auc, i, v, b, profile) == enum_utility_dfpa(
+            assert utility(auc, i, v, b, profile) == enum_utility_dfpa(
                 auc, i, v, b, profile
             )
-            assert utility_dfpa(auc, i, v, b, profile, raw=True) == enum_utility_dfpa(
+            assert utility(auc, i, v, b, profile, raw=True) == enum_utility_dfpa(
                 auc, i, v, b, profile, raw=True
             )
 
@@ -190,8 +186,8 @@ class TestUtilitySymmetric:
                 ]
                 for v in values:
                     for b in auc.bids:
-                        succinct = utility_dfpa_symmetric(auc, i, v, b, prof)
-                        direct = utility_dfpa(
+                        succinct = utility(auc, i, v, b, prof)
+                        direct = utility(
                             expanded_auc, i, v, b, expanded_prof
                         )
                         assert succinct == direct
@@ -202,17 +198,20 @@ class TestUtilitySymmetric:
         )
         auc = Auction(BidSpace([0, F(1, 4)]), sym)
         prof = Profile([_pure(0, [F(1, 2)], [F(1, 4)])], groups=[(0, 1)])
-        assert utility_dfpa_symmetric(auc, 0, F(1, 2), F(1, 4), prof) == F(1, 8)
-        assert utility_dfpa_symmetric(auc, 0, F(1, 2), F(0), prof) == 0
+        assert utility(auc, 0, F(1, 2), F(1, 4), prof) == F(1, 8)
+        assert utility(auc, 0, F(1, 2), F(0), prof) == 0
 
-    def test_asymmetric_profile_rejected(self):
+    def test_per_seat_profile_matches_per_group(self):
         sym = SymmetricDiscretePrior(
             2, [(0, 1)], [(F(1, 2),)], [((F(1, 2), F(1, 2)), 1)]
         )
-        auc = Auction(BidSpace([0]), sym)
-        prof = Profile([_pure(0, [F(1, 2)], [0]), _pure(1, [F(1, 2)], [0])])
-        with pytest.raises(ValueError):
-            utility_dfpa_symmetric(auc, 0, F(1, 2), F(0), prof)
+        auc = Auction(BidSpace([0, F(1, 4)]), sym)
+        half = [F(1, 2)]
+        per_seat = Profile([_pure(0, half, [F(1, 4)]), _pure(1, half, [F(1, 4)])])
+        per_group = Profile([_pure(0, half, [F(1, 4)])], groups=[(0, 1)])
+        for b in auc.bids:
+            u = utility(auc, 0, F(1, 2), b, per_group)
+            assert utility(auc, 0, F(1, 2), b, per_seat) == u
 
 
 class TestUtilityCfpa:
@@ -222,7 +221,7 @@ class TestUtilityCfpa:
         opp = JumpStrategy(uniform_box2.bids, [0, F(1, 2), F(1, 2), 1, 1])
         me = JumpStrategy(uniform_box2.bids, [0, 0, 0, 1, 1])
         prof = Profile([me, opp])
-        u = utility_cfpa(uniform_box2, 0, F(3, 4), F(1, 2), prof)
+        u = utility(uniform_box2, 0, F(3, 4), F(1, 2), prof)
         assert u == (F(3, 4) - F(1, 2)) * (F(1, 2) + F(1, 2) * F(1, 2))
 
     def test_opponent_bids_zero_everywhere(self, uniform_box2):
@@ -230,7 +229,7 @@ class TestUtilityCfpa:
         prof = Profile([opp, opp])
         for v in (F(1, 3), F(2, 3)):
             for b in (F(1, 4),):
-                assert utility_cfpa(uniform_box2, 0, v, b, prof) == v - b
+                assert utility(uniform_box2, 0, v, b, prof) == v - b
 
     def test_matches_rectangle_oracle(self, two_box_sapv):
         rng = random.Random(61)
@@ -242,7 +241,7 @@ class TestUtilityCfpa:
             prof = Profile([strat, strat])
             v = F(rng.randint(1, 15), 16)
             b = rng.choice(list(bids))
-            assert utility_cfpa(two_box_sapv, 0, v, b, prof) == rect_utility_cfpa(
+            assert utility(two_box_sapv, 0, v, b, prof) == rect_utility_cfpa(
                 two_box_sapv, 0, v, b, prof
             )
 
@@ -260,17 +259,17 @@ class TestUtilityCfpa:
             prof = Profile([strat, strat])
             v = F(rng.randint(1, 15), 16)
             b = rng.choice(list(bids))
-            assert utility_cfpa_symmetric(
+            assert utility(
                 two_box_sapv, 0, v, b, prof_sym
-            ) == utility_cfpa(expanded_auc, 0, v, b, prof)
+            ) == utility(expanded_auc, 0, v, b, prof)
 
     def test_degenerate_grouping_matches_plain(self, uniform_box2):
         grouped = BoxDensity(2, uniform_box2.prior.boxes, groups=[(0,), (1,)])
         auc = Auction(uniform_box2.bids, grouped)
         s = JumpStrategy(uniform_box2.bids, [0, F(1, 4), F(1, 2), F(3, 4), 1])
-        assert utility_cfpa_symmetric(
+        assert utility(
             auc, 0, F(5, 8), F(1, 4), Profile([s, s], groups=[(0,), (1,)])
-        ) == utility_cfpa(uniform_box2, 0, F(5, 8), F(1, 4), Profile([s, s]))
+        ) == utility(uniform_box2, 0, F(5, 8), F(1, 4), Profile([s, s]))
 
 
 class TestBestResponse:
@@ -310,18 +309,11 @@ class TestBestResponse:
         assert rep.argmax == (F(0),)
         assert rep.margin is None
 
-    def test_utility_query_evaluate(self, prop34, prop34_nonmonotone):
-        from fpaeq.engine import UtilityQuery, evaluate
-
-        q = UtilityQuery(
-            bidder=0, value=F(1), bid=F(1, 10), opponents=prop34_nonmonotone
-        )
-        assert evaluate(prop34, q) == F(9, 10)
-        raw = UtilityQuery(
-            bidder=0, value=F(1), bid=F(1, 10), opponents=prop34_nonmonotone,
-            raw=True,
-        )
-        assert evaluate(prop34, raw) == F(9, 10) * F(1, 3)
+    def test_utility_interim_and_raw(self, prop34, prop34_nonmonotone):
+        u = utility(prop34, 0, F(1), F(1, 10), prop34_nonmonotone)
+        assert u == F(9, 10)
+        raw = utility(prop34, 0, F(1), F(1, 10), prop34_nonmonotone, raw=True)
+        assert raw == F(9, 10) * F(1, 3)
 
     def test_raw_and_interim_agree_on_argmax(self):
         rng = random.Random(71)
@@ -353,6 +345,14 @@ class TestVerify:
         mixed = Profile([s.as_mixed() for s in prop34_nonmonotone.strategies])
         report = verify_mbne(prop34, mixed, 0)
         assert report.ok
+
+    def test_mixed_profile_needs_verify_mbne(self, prop34, prop34_nonmonotone):
+        pure = prop34_nonmonotone.strategies
+        mixed = Profile([pure[0].as_mixed(), pure[1]])
+        for check in (verify_pbne, is_pbne):
+            with pytest.raises(TypeError, match="verify_mbne"):
+                check(prop34, mixed, 0)
+        assert verify_mbne(prop34, mixed, 0) == verify_pbne(prop34, prop34_nonmonotone, 0)
 
     def test_dominated_mixing_reports_exact_gap(self, prop34):
         # at value 1 the opponent bids 0, so mixing 0 with 1/10 wastes
@@ -607,11 +607,11 @@ class TestKernelProperties:
     @given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(["dfpa", "symmetric"]))
     def test_discrete_vector_and_utilities(self, rng, kind):
         auc, profile, bidders = _discrete_case(rng, kind)
-        game = _Game(auc, profile, kind == "symmetric")
+        game = _Game(auc, profile)
         for i in bidders:
             for v in support_values(auc.prior, i):
-                fi, H = game.win_mass(i, v)
-                assert H == _reference_win_masses(auc, profile, i, v)
+                fi, H = game.vector(i, v)
+                assert [fi * h for h in H] == _reference_win_masses(auc, profile, i, v)
                 for b in auc.bids:
                     assert utility(auc, i, v, b, profile) == enum_utility_dfpa(
                         auc, i, v, b, profile
@@ -626,14 +626,14 @@ class TestKernelProperties:
     )
     def test_box_vector_and_utilities(self, rng, kind):
         auc, profile, bidders = _box_case(rng, kind)
-        game = _Game(auc, profile, kind == "grouped")
+        game = _Game(auc, profile)
         for i in bidders:
             # grid points hit box faces and jump thresholds; odd 16ths do not
             for v in rng.sample([F(k, 16) for k in range(17)], 3):
-                fi, H = game.win_mass(i, v)
+                fi, H = game.vector(i, v)
                 if fi == 0:
                     continue
-                assert H == _reference_win_masses(auc, profile, i, v)
+                assert [fi * h for h in H] == _reference_win_masses(auc, profile, i, v)
                 for b in auc.bids:
                     assert utility(auc, i, v, b, profile) == rect_utility_cfpa(
                         auc, i, v, b, profile
@@ -654,9 +654,9 @@ class TestKernelProperties:
                 MixedStrategy(3, {half: {F(0): F(1, 3), half: F(2, 3)}}),
             ]
         )
-        fi, H = _Game(auc, profile, False).win_mass(0, half)
-        assert H == _reference_win_masses(auc, profile, 0, half)
-        assert H == [0, F(1, 3) / 2, F(1, 3) + F(2, 3) / 2]
+        fi, H = _Game(auc, profile).vector(0, half)
+        assert [fi * h for h in H] == _reference_win_masses(auc, profile, 0, half)
+        assert [fi * h for h in H] == [0, F(1, 3) / 2, F(1, 3) + F(2, 3) / 2]
 
 
 # ---------------------------------------------------------------------------
@@ -716,12 +716,12 @@ class TestIIDFolding:
             i = rng.randrange(n)
             for b in auc.bids:
                 try:
-                    expected = utility_cfpa(oracle, i, v, b, profile)
+                    expected = utility(oracle, i, v, b, profile)
                 except ValueError:  # v outside the marginal's support
                     with pytest.raises(ValueError):
-                        utility_cfpa(auc, i, v, b, profile)
+                        utility(auc, i, v, b, profile)
                     continue
-                assert utility_cfpa(auc, i, v, b, profile) == expected
+                assert utility(auc, i, v, b, profile) == expected
         assert default_jump_grid(auc) == default_jump_grid(oracle)
         assert default_jump_grid(auc, 3) == default_jump_grid(oracle, 3)
 
@@ -819,16 +819,16 @@ class TestIntegerKernel:
     )
     def test_matches_enumeration_in_fractions(self, rng, kind, mixed, eps):
         auc, profile, bidders = _integer_kernel_case(rng, kind, mixed)
-        game = _Game(auc, profile, kind == "symmetric")
+        game = _Game(auc, profile)
         for i in bidders:
             for v in support_values(auc.prior, i):
-                fi, H = game.win_mass(i, v)
+                fi, H = game.vector(i, v)
                 assert all(type(h) is F for h in H)
-                assert H == _reference_win_masses(auc, profile, i, v)
+                assert [fi * h for h in H] == _reference_win_masses(auc, profile, i, v)
                 for b in auc.bids:
                     expected = enum_utility_dfpa(auc, i, v, b, profile)
-                    for u in (utility(auc, i, v, b, profile), utility_dfpa(auc, i, v, b, profile)):
-                        assert type(u) is F and u == expected
+                    u = utility(auc, i, v, b, profile)
+                    assert type(u) is F and u == expected
         report = (verify_mbne if mixed else verify_pbne)(auc, profile, eps)
         assert report == _enum_report(auc, profile, eps, bidders)
         assert type(report.max_gain) is F

@@ -8,7 +8,6 @@ from fpaeq.engine import (
     best_response,
     check_affiliation,
     utility,
-    utility_cfpa,
     verify_mbne,
     verify_pbne,
     win_prob_dfpa,
@@ -497,7 +496,7 @@ class TestLift:
             for b in bids:
                 hd = win_prob_dfpa(lifted.dfpa, 0, v, b, mixed)
                 for x in (v, v + delta / 3, v + delta):
-                    hc = utility_cfpa(
+                    hc = utility(
                         lifted.cfpa, 0, x, b, cfpa_prof, raw=True
                     )
                     from fpaeq.model import marginal_mass
