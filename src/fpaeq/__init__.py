@@ -19,9 +19,7 @@ from .model import (
     Profile,
     PureStrategy,
     Rational,
-    SymmetricDiscretePrior,
     conditional,
-    expand_symmetric,
     marginal,
     marginal_mass,
     multiplicity,
@@ -54,13 +52,11 @@ __all__ = [
     "Profile",
     "PureStrategy",
     "Rational",
-    "SymmetricDiscretePrior",
     "VerificationReport",
     "best_response",
     "check_affiliation",
     "check_monotone",
     "conditional",
-    "expand_symmetric",
     "marginal",
     "marginal_mass",
     "multiplicity",

@@ -32,6 +32,7 @@ from .model import (
     MixedStrategy,
     Profile,
     PureStrategy,
+    marginal,
     rat,
     validate_instance,
     validate_profile,
@@ -103,11 +104,18 @@ def _load(loader, path: str):
         raise CliError(EXIT_PARSE, "parse", f"{path}: {exc}")
 
 
-def _load_instance(path: str) -> Auction:
-    auction = _load(load_instance, path)
+DISCRETE = ("dfpa", "dfpa-sym")
+CONTINUOUS = ("cfpa-box", "cfpa-iid")
+
+
+def _load_instance(args, kinds: tuple[str, ...] | None = None) -> Auction:
+    """Load and validate ``--instance``; with ``kinds``, reject any other kind."""
+    auction = _load(load_instance, args.instance)
     report = validate_instance(auction)
     if not report.ok:
         raise _invalid(report.violations)
+    if kinds is not None and auction.kind not in kinds:
+        raise _invalid([f"{args.verb} needs a {' or '.join(kinds)} instance, got {auction.kind}"])
     return auction
 
 
@@ -183,9 +191,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_marginal(args) -> int:
-    auction = _load_instance(args.instance)
-    from .model import marginal
-
+    auction = _load_instance(args)
     m = marginal(auction.prior, _bidder(auction, args.bidder))
     if isinstance(m, IIDMarginal):
         doc = {
@@ -199,7 +205,7 @@ def cmd_marginal(args) -> int:
 
 
 def cmd_utility(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args)
     profile = _load_profile(args.profile, auction)
     i = _bidder(auction, args.bidder)
     u = engine.utility(auction, i, args.value, args.bid, profile, raw=args.raw)
@@ -208,7 +214,7 @@ def cmd_utility(args) -> int:
 
 
 def cmd_best_response(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args)
     profile = _load_profile(args.profile, auction)
     i = _bidder(auction, args.bidder)
     rep = engine.best_response(
@@ -228,7 +234,7 @@ def cmd_best_response(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args)
     profile = _load_profile(args.profile, auction)
     if any(isinstance(s, MixedStrategy) for s in profile.strategies):
         report = engine.verify_mbne(auction, profile, args.eps)
@@ -238,14 +244,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
-def _search_config(args, symmetric=False) -> search.SearchConfig:
-    return search.SearchConfig(
-        eps=args.eps,
-        monotone_only=getattr(args, "monotone", False),
-        no_overbidding=True,
-        symmetric=symmetric,
-        budget=args.budget,
-    )
+def _search_config(args) -> search.SearchConfig:
+    return search.SearchConfig(eps=args.eps, monotone_only=args.monotone, budget=args.budget)
 
 
 def _emit_search(result: search.SearchResult, out: str | None) -> int:
@@ -274,26 +274,24 @@ def _search(args, run) -> int:
 
 
 def cmd_solve_pure(args) -> int:
-    auction, cfg = _load_instance(args.instance), _search_config(args)
+    auction, cfg = _load_instance(args, DISCRETE), _search_config(args)
     return _search(args, lambda log: search.enumerate_pure_equilibria(auction, cfg, log))
 
 
 def cmd_solve_symmetric(args) -> int:
-    auction, cfg = _load_instance(args.instance), _search_config(args)
+    auction, cfg = _load_instance(args, ("dfpa-sym",)), _search_config(args)
     return _search(args, lambda log: search.enumerate_symmetric_pure(auction, cfg, log))
 
 
 def cmd_jump_search(args) -> int:
-    auction = _load_instance(args.instance)
-    if auction.is_discrete:
-        raise _invalid([f"jump-search needs a continuous instance, got {auction.kind}"])
+    auction = _load_instance(args, CONTINUOUS)
     grid = search.default_jump_grid(auction, mesh=args.mesh)
     cfg = search.SearchConfig(eps=args.eps, symmetric=args.symmetric, budget=args.budget)
     return _search(args, lambda log: search.jump_grid_search(auction, cfg, grid, log))
 
 
 def cmd_shrink(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args)
     shrunk = search.shrink_bidspace(auction.bids, args.target)
     if args.out:
         save_instance(Auction(shrunk.bids, auction.prior, auction.n), args.out)
@@ -370,7 +368,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args, DISCRETE)
     result = reduction.lift_dfpa_to_cfpa(auction, args.delta)
     save_instance(result.cfpa, args.out)
     print(
@@ -386,11 +384,9 @@ def cmd_lift(args) -> int:
 
 
 def cmd_project(args) -> int:
-    auction = _load_instance(args.instance)
-    if not auction.is_discrete:
-        raise _invalid([f"project needs a discrete instance, got {auction.kind}"])
+    auction = _load_instance(args, DISCRETE)
     # the profile must fit the instance's lift: same bids, bidders and groups
-    shape = BoxDensity(auction.n, (), getattr(auction.prior, "groups", None))
+    shape = BoxDensity(auction.n, (), auction.prior.groups)
     profile = _load_profile(args.profile, Auction(auction.bids, shape))
     projected = reduction.project_strategy(profile, auction, args.delta)
     if args.out:
@@ -401,7 +397,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_densify(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args, CONTINUOUS)
     try:
         cert = densify_mod.densify_solve(auction, args.eps)
     except densify_mod.UnsupportedPrior as exc:
@@ -433,7 +429,7 @@ def cmd_densify(args) -> int:
 
 
 def cmd_check_affiliation(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args)
     ok, witness = engine.check_affiliation(auction.prior)
     doc = {"affiliated": ok}
     if witness is not None:
@@ -443,7 +439,7 @@ def cmd_check_affiliation(args) -> int:
 
 
 def cmd_emit_plot(args) -> int:
-    auction = _load_instance(args.instance)
+    auction = _load_instance(args)
     strategy = _load(load_strategy, args.strategy)
     if not isinstance(strategy, JumpStrategy):
         raise CliError(EXIT_PARSE, "parse", "emit-plot expects a jump strategy")

@@ -65,7 +65,6 @@ from .model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
     group_blocks,
     marginal_mass,
     rat,
@@ -153,13 +152,20 @@ def _discrete_scenarios(prior: DiscretePrior, i: int, v: Fraction):
     return fi, prior.index.den, scenarios
 
 
-def _group_scenarios(prior: SymmetricDiscretePrior, i: int, v: Fraction):
+def _group_of(groups, i: int) -> int:
+    for k, members in enumerate(groups):
+        if i in members:
+            return k
+    raise IndexError(f"bidder {i} not in any group")
+
+
+def _group_scenarios(prior: DiscretePrior, i: int, v: Fraction):
     """Canonical tuples holding v in bidder i's group; opponents are
     (group, value)."""
-    k = prior.group_of(i)
+    k = _group_of(prior.groups, i)
     fi = ZERO
     scenarios = []
-    for tup, p in prior.rep_support:
+    for tup, p in prior.support:
         blocks = group_blocks(tup, prior.groups)
         if v in blocks[k]:
             cnt, opponents = _others(blocks, k, v)
@@ -203,9 +209,7 @@ def _box_scenarios(prior: BoxDensity, i: int, v: Fraction):
 def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
     """Canonical boxes with each distinct interval of bidder i's group that
     holds v; opponents are (group, interval)."""
-    k = next((g for g, members in enumerate(prior.groups) if i in members), None)
-    if k is None:
-        raise IndexError(f"bidder {i} not in any group")
+    k = _group_of(prior.groups, i)
     fi = ZERO
     scenarios = []
     for lo, hi, w in prior.boxes:
@@ -363,7 +367,6 @@ class _Game:
                 self._scenarios = _group_scenarios
                 masses = partial(_discrete_masses, self.bids)
             else:
-                prior = prior.expanded if isinstance(prior, SymmetricDiscretePrior) else prior
                 self._scenarios = _discrete_scenarios
                 bids, values = self.bids, prior.index.values
                 masses = lambda s, vid: _discrete_masses(bids, s, values[vid])  # noqa: E731
@@ -501,10 +504,8 @@ def check_affiliation(prior) -> tuple[bool, tuple | None]:
     """Exact affiliation (MTP2) check; returns a violating pair on failure."""
     if isinstance(prior, IIDMarginal):
         return True, None
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
-        pts, f = [t for t, _ in prior.support], prior.mass
+        pts, f = [t for t, _ in prior.expanded.support], prior.mass
     elif isinstance(prior, BoxDensity):
         pts, f = [pt for pt, d in prior.cell_densities if d > 0], prior.density_at
     else:

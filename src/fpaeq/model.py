@@ -3,14 +3,17 @@
 Everything is exact: probabilities, values, bids and utilities are
 `fractions.Fraction` throughout.  There is no floating-point fast path.
 
-Priors come in four flavours:
+Priors come in three flavours:
 
-* ``DiscretePrior``        -- explicit joint pmf over value tuples (DFPA),
-* ``SymmetricDiscretePrior`` -- group-succinct pmf given on canonical tuples,
-* ``BoxDensity``           -- piecewise-constant joint density given as
-                              weighted hyperrectangles (CFPA),
-* ``IIDMarginal``          -- a single piecewise-constant marginal density,
-                              shared by all bidders (iid CFPA).
+* ``DiscretePrior`` -- joint pmf over value tuples (DFPA),
+* ``BoxDensity``    -- piecewise-constant joint density given as weighted
+                       hyperrectangles (CFPA),
+* ``IIDMarginal``   -- a single piecewise-constant marginal density, shared
+                       by all bidders (iid CFPA).
+
+The first two take optional ``groups``: each listed tuple or box is then
+canonical (non-increasing inside every group block) and stands for all of
+its distinct group-valid permutations, each with the listed mass or weight.
 
 Strategies are value->bid maps (``PureStrategy``), value->bid-distribution
 tables (``MixedStrategy``), or monotone step functions encoded by their jump
@@ -107,13 +110,21 @@ DiscreteIndex = namedtuple("DiscreteIndex", "values den by_value")
 
 @dataclass(frozen=True)
 class DiscretePrior:
-    """Explicit joint pmf over value tuples."""
+    """Joint pmf over value tuples.
+
+    With ``groups`` set, as in :class:`BoxDensity`, each listed tuple is
+    canonical and stands for all of its distinct group-valid permutations,
+    each carrying the listed mass; the bidders of a group share one value
+    space.  ``pmf``, ``mass`` and ``index`` describe :attr:`expanded`, the
+    explicit prior.
+    """
 
     n: int
     value_spaces: tuple[tuple[Fraction, ...], ...]
     support: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    groups: tuple[tuple[int, ...], ...] | None
 
-    def __init__(self, n: int, value_spaces, support):
+    def __init__(self, n: int, value_spaces, support, groups=None):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(
             self, "value_spaces", tuple(rat_tuple(vs) for vs in value_spaces)
@@ -121,21 +132,41 @@ class DiscretePrior:
         object.__setattr__(
             self, "support", tuple((rat_tuple(t), rat(m)) for t, m in support)
         )
+        object.__setattr__(
+            self,
+            "groups",
+            None if groups is None else tuple(tuple(int(i) for i in g) for g in groups),
+        )
+
+    @cached_property
+    def expanded(self) -> "DiscretePrior":
+        """The explicit prior: every listed tuple expanded into its distinct
+        group-valid permutations, each carrying the listed mass."""
+        if self.groups is None:
+            return self
+        support = [
+            (arranged, m)
+            for t, m in self.support
+            for arranged in distinct_group_arrangements(t, self.groups)
+        ]
+        return DiscretePrior(self.n, self.value_spaces, support)
 
     @cached_property
     def pmf(self) -> dict[tuple[Fraction, ...], Fraction]:
-        return {t: m for t, m in self.support}
+        return {t: m for t, m in self.expanded.support}
 
     def mass(self, values: Sequence[Fraction]) -> Fraction:
         return self.pmf.get(tuple(values), ZERO)
 
     @cached_property
     def index(self) -> DiscreteIndex:
-        """The support indexed once.  ``values``: the distinct values, sorted; a
-        value's id is its position.  ``den``: the lcm D of the masses'
-        denominators.  ``by_value[i]``: each own value v of bidder i, sorted, ->
-        (f_i(v), one (mass * D, opponents) per support point with v_i = v, in
-        support order, with opponents as (seat, value id) pairs)."""
+        """The explicit support indexed once.  ``values``: the distinct values,
+        sorted; a value's id is its position.  ``den``: the lcm D of the
+        masses' denominators.  ``by_value[i]``: each own value v of bidder i,
+        sorted, -> (f_i(v), one (mass * D, opponents) per support point with
+        v_i = v, in support order, with opponents as (seat, value id) pairs)."""
+        if self.groups is not None:
+            return self.expanded.index
         first: dict = {}  # value -> position of first sight: one hash per entry
         points = [([first.setdefault(v, len(first)) for v in t], m) for t, m in self.support]
         values = sorted(first)
@@ -154,54 +185,6 @@ class DiscretePrior:
             for i in range(self.n)
         )
         return DiscreteIndex(tuple(values), den, by_value)
-
-
-@dataclass(frozen=True)
-class SymmetricDiscretePrior:
-    """Group-succinct joint pmf: canonical tuples in V_>= with probabilities.
-
-    ``groups`` is an ordered partition of bidder indices 0..n-1 into
-    contiguous blocks; bidders in a group share ``group_values[g]``.  Each
-    canonical tuple must be non-increasing inside every group block, and the
-    probabilities must satisfy sum_j m_j * p_j = 1 where m_j counts the
-    distinct group-valid permutations of tuple j.
-    """
-
-    n: int
-    groups: tuple[tuple[int, ...], ...]
-    group_values: tuple[tuple[Fraction, ...], ...]
-    rep_support: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-
-    def __init__(self, n: int, groups, group_values, rep_support):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "groups", tuple(tuple(int(i) for i in g) for g in groups))
-        object.__setattr__(
-            self, "group_values", tuple(rat_tuple(vs) for vs in group_values)
-        )
-        object.__setattr__(
-            self,
-            "rep_support",
-            tuple((rat_tuple(t), rat(p)) for t, p in rep_support),
-        )
-
-    def group_of(self, bidder: int) -> int:
-        for g, members in enumerate(self.groups):
-            if bidder in members:
-                return g
-        raise IndexError(f"bidder {bidder} not in any group")
-
-    @cached_property
-    def expanded(self) -> "DiscretePrior":
-        """The explicit prior; see :func:`expand_symmetric`."""
-        return expand_symmetric(self)
-
-    @cached_property
-    def value_spaces(self) -> tuple[tuple[Fraction, ...], ...]:
-        spaces = [()] * self.n
-        for g, members in enumerate(self.groups):
-            for i in members:
-                spaces[i] = self.group_values[g]
-        return tuple(spaces)
 
 
 @dataclass(frozen=True)
@@ -354,7 +337,7 @@ class IIDMarginal:
         return BoxDensity(n, boxes, None)
 
 
-Prior = Union[DiscretePrior, SymmetricDiscretePrior, BoxDensity, IIDMarginal]
+Prior = Union[DiscretePrior, BoxDensity, IIDMarginal]
 
 
 @dataclass(frozen=True)
@@ -378,16 +361,15 @@ class Auction:
 
     @property
     def kind(self) -> str:
-        return {
-            DiscretePrior: "dfpa",
-            SymmetricDiscretePrior: "dfpa-sym",
-            BoxDensity: "cfpa-box",
-            IIDMarginal: "cfpa-iid",
-        }[type(self.prior)]
+        if self.is_discrete and self.prior.groups is not None:
+            return "dfpa-sym"
+        return {DiscretePrior: "dfpa", BoxDensity: "cfpa-box", IIDMarginal: "cfpa-iid"}[
+            type(self.prior)
+        ]
 
     @property
     def is_discrete(self) -> bool:
-        return isinstance(self.prior, (DiscretePrior, SymmetricDiscretePrior))
+        return isinstance(self.prior, DiscretePrior)
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +554,13 @@ def distinct_group_arrangements(
     return sorted(set(out))
 
 
-def expand_symmetric(sym: SymmetricDiscretePrior) -> DiscretePrior:
-    """Explicit prior: every canonical tuple expanded into its m_j distinct
-    group-valid permutations, each carrying probability p_j."""
-    support = []
-    for tup, p in sym.rep_support:
-        for arranged in distinct_group_arrangements(tup, sym.groups):
-            support.append((arranged, p))
-    return DiscretePrior(sym.n, sym.value_spaces, support)
-
-
 # ---------------------------------------------------------------------------
 # marginals and conditionals
 # ---------------------------------------------------------------------------
 
-def marginal(prior: Prior, i: int, n: int | None = None):
+def marginal(prior: Prior, i: int):
     """Marginal of bidder i: a value->mass dict for discrete priors, an
     IIDMarginal-shaped piecewise-constant density for continuous ones."""
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
@@ -617,8 +587,6 @@ def marginal_mass(prior: Prior, i: int, v: Fraction) -> Fraction:
     v = rat(v)
     if isinstance(prior, BoxDensity):
         return _box_marginal(prior, i, v)
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
         if not 0 <= i < prior.n:
             raise IndexError(f"bidder index {i} out of range")
@@ -653,14 +621,12 @@ def conditional(prior: Prior, i: int, v: Fraction):
     Boxes/iid: a BoxDensity over the n-1 opponent coordinates.
     """
     v = rat(v)
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = prior.expanded
     if isinstance(prior, DiscretePrior):
         fi = marginal_mass(prior, i, v)
         if fi == 0:
             raise ValueError(f"value {v} outside marginal support of bidder {i}")
         out = {}
-        for tup, m in prior.support:
+        for tup, m in prior.expanded.support:
             if tup[i] == v:
                 rest = tup[:i] + tup[i + 1:]
                 out[rest] = out.get(rest, ZERO) + m / fi
@@ -697,7 +663,16 @@ class ValidationReport:
         return self.ok
 
 
+def _partitions(groups, n: int) -> bool:
+    """Every bidder 0..n-1 in exactly one group, and no group empty."""
+    return sorted(i for g in groups for i in g) == list(range(n)) and all(groups)
+
+
 def _check_discrete(prior: DiscretePrior, errs: list[str]) -> None:
+    groups = prior.groups
+    if groups is not None and not _partitions(groups, prior.n):
+        errs.append(f"groups {groups} do not partition 0..{prior.n - 1}")
+        return
     if len(prior.value_spaces) != prior.n:
         errs.append(f"expected {prior.n} value spaces, got {len(prior.value_spaces)}")
         return
@@ -706,6 +681,9 @@ def _check_discrete(prior: DiscretePrior, errs: list[str]) -> None:
             errs.append(f"value space {i}: values outside [0,1]")
         if any(b <= a for a, b in zip(vs, vs[1:])):
             errs.append(f"value space {i}: not strictly increasing")
+    for g in groups or ():
+        if any(prior.value_spaces[i] != prior.value_spaces[g[0]] for i in g):
+            errs.append(f"group {g}: bidders do not share one value space")
     seen = set()
     total = ZERO
     for k, (tup, m) in enumerate(prior.support):
@@ -714,56 +692,24 @@ def _check_discrete(prior: DiscretePrior, errs: list[str]) -> None:
             continue
         if m <= 0:
             errs.append(f"support[{k}]: mass {m} not strictly positive")
+        if groups is not None and not is_canonical(tup, groups):
+            errs.append(f"support[{k}]: tuple {tup} not canonical (non-increasing per group)")
+            continue
         if tup in seen:
             errs.append(f"support[{k}]: duplicate tuple {tup}")
         seen.add(tup)
         for i, v in enumerate(tup):
             if v not in prior.value_spaces[i]:
                 errs.append(f"support[{k}]: component {i} value {v} not in V_{i}")
-        total += m
+        total += m if groups is None else multiplicity(tup, groups) * m
     if total != 1:
         errs.append(f"total mass {total} != 1")
 
 
-def _check_symmetric(prior: SymmetricDiscretePrior, errs: list[str]) -> None:
-    flat = sorted(i for g in prior.groups for i in g)
-    if flat != list(range(prior.n)):
+def _check_boxes(prior: BoxDensity, errs: list[str]) -> None:
+    if prior.groups is not None and not _partitions(prior.groups, prior.n):
         errs.append(f"groups {prior.groups} do not partition 0..{prior.n - 1}")
         return
-    if len(prior.group_values) != len(prior.groups):
-        errs.append("one value space required per group")
-        return
-    total = ZERO
-    seen = set()
-    for k, (tup, p) in enumerate(prior.rep_support):
-        if len(tup) != prior.n:
-            errs.append(f"rep_support[{k}]: tuple arity {len(tup)} != n={prior.n}")
-            continue
-        if p <= 0:
-            errs.append(f"rep_support[{k}]: probability {p} not strictly positive")
-        if not is_canonical(tup, prior.groups):
-            errs.append(f"rep_support[{k}]: tuple {tup} not canonical (non-increasing per group)")
-            continue
-        if tup in seen:
-            errs.append(f"rep_support[{k}]: duplicate canonical tuple {tup}")
-        seen.add(tup)
-        for g, members in enumerate(prior.groups):
-            for i in members:
-                if tup[i] not in prior.group_values[g]:
-                    errs.append(
-                        f"rep_support[{k}]: component {i} value {tup[i]} not in group {g} values"
-                    )
-        total += multiplicity(tup, prior.groups) * p
-    if total != 1:
-        errs.append(f"total mass sum m_j p_j = {total} != 1")
-
-
-def _check_boxes(prior: BoxDensity, errs: list[str]) -> None:
-    if prior.groups is not None:
-        flat = sorted(i for g in prior.groups for i in g)
-        if flat != list(range(prior.n)):
-            errs.append(f"groups {prior.groups} do not partition 0..{prior.n - 1}")
-            return
     for k, (lo, hi, w) in enumerate(prior.boxes):
         if len(lo) != prior.n or len(hi) != prior.n:
             errs.append(f"box[{k}]: arity != n={prior.n}")
@@ -802,10 +748,10 @@ def validate_instance(instance) -> ValidationReport:
     """Check all type invariants; returns a report rather than raising."""
     prior = instance.prior if isinstance(instance, Auction) else instance
     errs: list[str] = []
-    if isinstance(prior, DiscretePrior):
+    if isinstance(instance, Auction) and instance.n < 1:
+        errs.append(f"bidder count n={instance.n} must be at least 1")
+    elif isinstance(prior, DiscretePrior):
         _check_discrete(prior, errs)
-    elif isinstance(prior, SymmetricDiscretePrior):
-        _check_symmetric(prior, errs)
     elif isinstance(prior, BoxDensity):
         _check_boxes(prior, errs)
     elif isinstance(prior, IIDMarginal):
@@ -869,7 +815,7 @@ def validate_strategy(
 
 def _value_space(auction: Auction, bidder: int):
     prior = auction.prior
-    if isinstance(prior, (DiscretePrior, SymmetricDiscretePrior)):
+    if isinstance(prior, DiscretePrior):
         return prior.value_spaces[bidder]
     return None
 
@@ -887,7 +833,7 @@ def validate_profile(profile: Profile, auction: Auction) -> ValidationReport:
             errs.append(f"profile has {len(profile.strategies)} strategies for {n} bidders")
     else:
         prior_groups = getattr(auction.prior, "groups", None)
-        if sorted(i for g in groups for i in g) != list(range(n)) or not all(groups):
+        if not _partitions(groups, n):
             errs.append(f"profile groups {groups} do not partition 0..{n - 1}")
         elif prior_groups is not None and groups != prior_groups:
             errs.append(f"profile groups {groups} differ from the instance's {prior_groups}")

@@ -36,7 +36,6 @@ from .model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
     rat,
 )
 from .serialize import FormatError, fmt
@@ -564,18 +563,12 @@ def _min_gap(points: set[Fraction]) -> Fraction:
     return min(gaps) if gaps else ONE
 
 
-def _rescale_prior(prior, factor: Fraction):
-    if isinstance(prior, DiscretePrior):
-        return DiscretePrior(
-            prior.n,
-            [[v * factor for v in vs] for vs in prior.value_spaces],
-            [(tuple(v * factor for v in t), m) for t, m in prior.support],
-        )
-    return SymmetricDiscretePrior(
+def _rescale_prior(prior: DiscretePrior, factor: Fraction) -> DiscretePrior:
+    return DiscretePrior(
         prior.n,
+        [[v * factor for v in vs] for vs in prior.value_spaces],
+        [(tuple(v * factor for v in t), m) for t, m in prior.support],
         prior.groups,
-        [[v * factor for v in vs] for vs in prior.group_values],
-        [(tuple(v * factor for v in t), p) for t, p in prior.rep_support],
     )
 
 
@@ -591,7 +584,7 @@ def lift_dfpa_to_cfpa(auction: Auction, delta) -> LiftResult:
     if delta <= 0:
         raise ValueError("delta must be positive")
     prior = auction.prior
-    if not isinstance(prior, (DiscretePrior, SymmetricDiscretePrior)):
+    if not isinstance(prior, DiscretePrior):
         raise TypeError("lift starts from a discrete instance")
 
     rescale_loss = ZERO
@@ -607,18 +600,10 @@ def lift_dfpa_to_cfpa(auction: Auction, delta) -> LiftResult:
     applied = delta if delta < bound else bound / 2
 
     n = prior.n
-    if isinstance(prior, DiscretePrior):
-        boxes = [
-            (tuple(t), tuple(v + applied for v in t), m / applied**n)
-            for t, m in prior.support
-        ]
-        box_prior = BoxDensity(n, boxes, None)
-    else:
-        boxes = [
-            (tuple(t), tuple(v + applied for v in t), p / applied**n)
-            for t, p in prior.rep_support
-        ]
-        box_prior = BoxDensity(n, boxes, prior.groups)
+    boxes = [
+        (tuple(t), tuple(v + applied for v in t), m / applied**n) for t, m in prior.support
+    ]
+    box_prior = BoxDensity(n, boxes, prior.groups)
     dfpa = Auction(auction.bids, prior)
     return LiftResult(
         cfpa=Auction(auction.bids, box_prior),
@@ -635,11 +620,11 @@ def project_strategy(
     play the bid distribution of the jump strategy on [v, v + delta]."""
     delta = rat(delta)
     prior = dfpa.prior
-    if isinstance(prior, SymmetricDiscretePrior) and cfpa_profile.groups is not None:
-        value_sets = [prior.group_values[g] for g in range(len(prior.groups))]
+    if prior.groups is not None and cfpa_profile.groups is not None:
         strategies = []
         for g, strat in enumerate(cfpa_profile.strategies):
-            strategies.append(_project_one(strat, value_sets[g], dfpa.bids, delta, g))
+            values = prior.value_spaces[prior.groups[g][0]]
+            strategies.append(_project_one(strat, values, dfpa.bids, delta, g))
         return Profile(strategies, groups=cfpa_profile.groups)
     expanded = cfpa_profile.expand(dfpa.n)
     return Profile(

@@ -38,7 +38,6 @@ from .model import (
     JumpStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
     rat,
     support_values,
 )
@@ -57,7 +56,6 @@ class BudgetExceeded(RuntimeError):
 class SearchConfig:
     eps: Fraction = ZERO
     monotone_only: bool = False
-    no_overbidding: bool = True
     symmetric: bool = False
     budget: int = 2_000_000
 
@@ -96,7 +94,7 @@ def _bid_choices(
             out.append(tuple(prefix))
             return
         for b in bids:
-            if cfg.no_overbidding and b > values[k]:
+            if b > values[k]:
                 continue
             if cfg.monotone_only and prefix and b < prefix[-1]:
                 continue
@@ -204,7 +202,7 @@ def enumerate_pure_equilibria(
 ) -> SearchResult:
     """First eps-PBNE in lexicographic order, or an exhaustive "none"."""
     prior = auction.prior
-    if not isinstance(prior, (DiscretePrior, SymmetricDiscretePrior)):
+    if not isinstance(prior, DiscretePrior):
         raise TypeError("pure enumeration applies to discrete instances")
     spaces = prior.value_spaces
     supp = [support_values(prior, i) for i in range(auction.n)]
@@ -220,13 +218,14 @@ def enumerate_symmetric_pure(
 ) -> SearchResult:
     """Symmetric search: one strategy per group, verified succinctly."""
     prior = auction.prior
-    if not isinstance(prior, SymmetricDiscretePrior):
-        raise TypeError("symmetric enumeration needs a SymmetricDiscretePrior")
-    supp = [support_values(prior, g[0]) for g in prior.groups]
+    if not isinstance(prior, DiscretePrior) or prior.groups is None:
+        raise TypeError("symmetric enumeration needs a grouped DiscretePrior")
+    seats = [g[0] for g in prior.groups]
+    supp = [support_values(prior, i) for i in seats]
     choices = [_bid_choices(values, auction.bids, cfg) for values in supp]
     return _walk(
         auction, cfg, log, choices,
-        lambda g, choice: _fill_strategy(g, prior.group_values[g], supp[g], choice),
+        lambda g, choice: _fill_strategy(g, prior.value_spaces[seats[g]], supp[g], choice),
         prior.groups,
     )
 

@@ -20,7 +20,6 @@ from .model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
     rat,
 )
 
@@ -71,7 +70,7 @@ def _take(doc: dict, fields: dict[str, bool], kind: str) -> dict[str, Any]:
 def instance_to_doc(auction: Auction) -> dict:
     prior = auction.prior
     bids = [fmt(b) for b in auction.bids]
-    if isinstance(prior, DiscretePrior):
+    if isinstance(prior, DiscretePrior) and prior.groups is None:
         return {
             "kind": "dfpa",
             "bids": bids,
@@ -81,15 +80,15 @@ def instance_to_doc(auction: Auction) -> dict:
                 for t, m in prior.support
             ],
         }
-    if isinstance(prior, SymmetricDiscretePrior):
+    if isinstance(prior, DiscretePrior):
         return {
             "kind": "dfpa-sym",
             "bids": bids,
             "groups": [list(g) for g in prior.groups],
-            "group_values": [[fmt(v) for v in vs] for vs in prior.group_values],
+            "group_values": [[fmt(v) for v in prior.value_spaces[g[0]]] for g in prior.groups],
             "support": [
                 {"values": [fmt(v) for v in t], "probability": fmt(p)}
-                for t, p in prior.rep_support
+                for t, p in prior.support
             ],
         }
     if isinstance(prior, BoxDensity):
@@ -120,6 +119,13 @@ def instance_to_doc(auction: Auction) -> dict:
     raise TypeError(f"unsupported prior {type(prior).__name__}")
 
 
+def _count(n, kind: str) -> int:
+    """A bidder count: a JSON integer, not a string or a boolean."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise FormatError(f"{kind}: n must be a JSON integer, got {n!r}")
+    return n
+
+
 def instance_from_doc(doc: dict) -> Auction:
     rat = _interner()
     kind = doc.get("kind")
@@ -138,15 +144,19 @@ def instance_from_doc(doc: dict) -> Auction:
             {"bids": True, "groups": True, "group_values": True, "support": True},
             kind,
         )
-        groups = [tuple(g) for g in f["groups"]]
+        groups = [tuple(map(int, g)) for g in f["groups"]]
+        if len(f["group_values"]) != len(groups):
+            raise FormatError(f"{kind}: one group_values entry required per group")
+        space_of = {}  # bidder -> its group's one value space
+        for g, vs in zip(groups, f["group_values"]):
+            space_of.update(dict.fromkeys(g, [rat(v) for v in vs]))
         n = sum(len(g) for g in groups)
         support = []
         for entry in f["support"]:
             e = _take(entry, {"values": True, "probability": True}, "dfpa-sym support entry")
             support.append(([rat(v) for v in e["values"]], rat(e["probability"])))
-        prior = SymmetricDiscretePrior(
-            n, groups, [[rat(v) for v in vs] for vs in f["group_values"]], support
-        )
+        spaces = [space_of.get(i, ()) for i in range(n)]
+        prior = DiscretePrior(n, spaces, support, groups)
         return Auction(BidSpace(map(rat, f["bids"])), prior)
     if kind == "cfpa-box":
         f = _take(doc, {"bids": True, "n": True, "boxes": True, "groups": False}, kind)
@@ -157,14 +167,14 @@ def instance_from_doc(doc: dict) -> Auction:
                 ([rat(a) for a in e["lo"]], [rat(b) for b in e["hi"]], rat(e["weight"]))
             )
         groups = None if f["groups"] is None else [tuple(g) for g in f["groups"]]
-        prior = BoxDensity(int(f["n"]), boxes, groups)
+        prior = BoxDensity(_count(f["n"], kind), boxes, groups)
         return Auction(BidSpace(map(rat, f["bids"])), prior)
     if kind == "cfpa-iid":
         f = _take(doc, {"bids": True, "n": True, "breakpoints": True, "densities": True}, kind)
         prior = IIDMarginal(
             [rat(a) for a in f["breakpoints"]], [rat(p) for p in f["densities"]]
         )
-        return Auction(BidSpace(map(rat, f["bids"])), prior, n=int(f["n"]))
+        return Auction(BidSpace(map(rat, f["bids"])), prior, n=_count(f["n"], kind))
     raise FormatError(f"unknown instance kind {kind!r}")
 
 

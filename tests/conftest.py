@@ -15,7 +15,6 @@ from fpaeq.model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
 )
 
 F = Fraction
@@ -198,7 +197,8 @@ def random_symmetric_auction(rng: random.Random) -> Auction:
     mults = [multiplicity(t, groups) for t in chosen]
     weights = random_rationals(rng, len(chosen))
     probs = [w / m for w, m in zip(weights, mults)]
-    prior = SymmetricDiscretePrior(n, groups, group_values, list(zip(chosen, probs)))
+    spaces = [vals for vals, g in zip(group_values, groups) for _ in g]
+    prior = DiscretePrior(n, spaces, list(zip(chosen, probs)), groups)
     nbids = rng.randint(2, 3)
     bids = [F(0)] + sorted(rng.sample([F(k, 9) for k in range(1, 10)], nbids - 1))
     return Auction(BidSpace(bids), prior)

@@ -24,7 +24,6 @@ from fpaeq.model import (
     JumpStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
     support_values,
 )
 from fpaeq.engine import verify_pbne
@@ -55,9 +54,7 @@ def enum_utility_dfpa(
     raw: bool = False,
 ) -> Fraction:
     """Full enumeration over opponent value tuples and bid tuples."""
-    prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = prior.expanded
+    prior = auction.prior.expanded
     assert isinstance(prior, DiscretePrior)
     opponents = opponents.expand(auction.n)
     total = ZERO
@@ -85,9 +82,7 @@ def enum_utility_dfpa(
 
 def enum_win_prob_dfpa(auction, i, v, bid, opponents) -> Fraction:
     """Enumeration analogue of the win probability (value term factored out)."""
-    prior = auction.prior
-    if isinstance(prior, SymmetricDiscretePrior):
-        prior = prior.expanded
+    prior = auction.prior.expanded
     opponents = opponents.expand(auction.n)
     total = ZERO
     fi = ZERO
@@ -199,7 +194,8 @@ def ref_search(auction: Auction, cfg, kind: str, log=None, grid=None) -> SearchR
     else:
         if kind == "symmetric":
             groups = prior.groups
-            spaces, reps = prior.group_values, [g[0] for g in groups]
+            reps = [g[0] for g in groups]
+            spaces = [prior.value_spaces[i] for i in reps]
         else:
             spaces, reps = prior.value_spaces, range(auction.n)
         supp = [support_values(prior, i) for i in reps]

@@ -31,7 +31,6 @@ from fpaeq.model import (
     IIDMarginal,
     Profile,
     PureStrategy,
-    expand_symmetric,
     marginal,
 )
 from fpaeq.reduction import (
@@ -402,12 +401,12 @@ def test_criterion_7_dp_vs_enumeration():
         groups = auc.prior.groups
         strategies = []
         for g in range(len(groups)):
-            values = auc.prior.group_values[g]
+            values = auc.prior.value_spaces[groups[g][0]]
             strategies.append(
                 PureStrategy(g, {v: rng.choice(list(auc.bids)) for v in values})
             )
         prof = Profile(strategies, groups=groups)
-        expanded_auc = Auction(auc.bids, expand_symmetric(auc.prior))
+        expanded_auc = Auction(auc.bids, auc.prior.expanded)
         expanded_prof = prof.expand(auc.n)
         i = groups[rng.randrange(len(groups))][0]
         values = [v for v, m in marginal(auc.prior, i).items() if m > 0]

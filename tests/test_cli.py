@@ -229,6 +229,9 @@ class TestSearchVerbs:
             inst = tmp_path / "uniform.json"
             uniform = Auction(BidSpace([0, F(1, 4)]), IIDMarginal([0, 1], [1]), 2)
             save_instance(uniform, str(inst))
+        elif verb == "solve-symmetric":
+            inst = tmp_path / "sym3.json"
+            inst.write_text(json.dumps(SYM3))
         log = tmp_path / "missing" / "run.log"
         code, out, err = run(capsys, verb, "--instance", inst, "--log", log)
         assert code == EXIT_IO
@@ -430,11 +433,11 @@ def sat13(tmp_path, capsys):
     return f"{prefix}.instance.json", f"{prefix}.map.json", str(prof)
 
 
-def _iid3(tmp_path) -> str:
+def _iid3(tmp_path, n=3) -> str:
     doc = {
         "kind": "cfpa-iid",
         "bids": ["0", "1/4", "1/2"],
-        "n": 3,
+        "n": n,
         "breakpoints": ["0", "1/2", "1"],
         "densities": ["3/2", "1/2"],
     }
@@ -500,6 +503,47 @@ class TestBoundaryValidation:
         inst, _, _ = sat13
         self._rejected(capsys, "jump-search", "--instance", inst)
 
+    @pytest.mark.parametrize(
+        "verb, kind",
+        [("solve-pure", "iid"), ("solve-symmetric", "dfpa"), ("lift", "iid"), ("densify", "dfpa")],
+    )
+    def test_verb_needs_its_instance_kind(self, capsys, tmp_path, sat13, verb, kind):
+        inst = _iid3(tmp_path) if kind == "iid" else sat13[0]
+        out = tmp_path / "out.json"
+        extra = ["--delta", "1/8", "--out", out] if verb == "lift" else []
+        self._rejected(capsys, verb, "--instance", inst, *extra)
+        assert not out.exists()
+
+    def test_grouped_boxes_with_an_empty_group(self, capsys, tmp_path):
+        doc = {
+            "kind": "cfpa-box",
+            "bids": ["0", "1/2"],
+            "n": 2,
+            "groups": [[0, 1], []],
+            "boxes": [{"lo": ["0", "0"], "hi": ["1", "1"], "weight": "1"}],
+        }
+        inst = tmp_path / "box.json"
+        inst.write_text(dumps(doc))
+        self._rejected(capsys, "jump-search", "--symmetric", "--instance", inst)
+
+    @pytest.mark.parametrize("verb", ["densify", "jump-search"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bidder_count_below_one(self, capsys, tmp_path, verb, n):
+        self._rejected(capsys, verb, "--instance", _iid3(tmp_path, n))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_validate_bidder_count_below_one(self, capsys, tmp_path, n):
+        code, out, _ = run(capsys, "validate", "--instance", _iid3(tmp_path, n))
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["violations"] == [f"bidder count n={n} must be at least 1"]
+
+    @pytest.mark.parametrize("verb", ["validate", "densify", "jump-search"])
+    @pytest.mark.parametrize("n", ["-1", "3", True, 3.0])
+    def test_bidder_count_must_be_a_json_integer(self, capsys, tmp_path, verb, n):
+        code, out, err = run(capsys, verb, "--instance", _iid3(tmp_path, n))
+        assert code == EXIT_PARSE and out == ""
+        assert "n must be a JSON integer" in json.loads(err)["detail"]
+
 
 class TestMapDocuments:
     """A --map file that is not a whole reduction-map object exits 13 with
@@ -547,6 +591,46 @@ class TestGoldenReports:
         code, out, _ = run(capsys, *argv, "--eps", eps)
         assert code == expected
         assert out == (GOLDEN / f"sat3_verify_{name}.stdout").read_text(encoding="utf-8")
+
+    def test_grouped_dfpa_verbs(self, capsys, tmp_path):
+        """Each verb on one fixed 3-bidder dfpa-sym instance, groups ((0, 1),
+        (2,)), prints the exit code and stdout in sym3_cli.stdout and writes
+        the files sym3_*.json."""
+        inst = tmp_path / "sym3.json"
+        inst.write_text(json.dumps(SYM3))
+        found, lifted = tmp_path / "found.json", tmp_path / "lifted.json"
+        steps = [
+            ["validate"],
+            ["marginal", "--bidder", "0"],
+            ["marginal", "--bidder", "2"],
+            ["check-affiliation"],
+            ["solve-symmetric", "--eps", "1/20", "--out", found],
+            ["verify", "--profile", found, "--eps", "1/20"],
+            ["solve-pure", "--monotone"],
+            ["lift", "--delta", "1/8", "--out", lifted],
+        ]
+        transcript = ""
+        for verb, *extra in steps:
+            code, out, _ = run(capsys, verb, "--instance", inst, *extra)
+            transcript += f"$ {' '.join(map(str, [verb, *extra])).replace(str(tmp_path), '.')}\n"
+            transcript += f"{out}exit {code}\n"
+        assert transcript == (GOLDEN / "sym3_cli.stdout").read_text(encoding="utf-8")
+        for path, name in ((found, "sym3_found.json"), (lifted, "sym3_lifted.json")):
+            assert path.read_text(encoding="utf-8") == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+SYM3 = {
+    "kind": "dfpa-sym",
+    "bids": ["0", "1/4", "1/2"],
+    "groups": [[0, 1], [2]],
+    "group_values": [["1/4", "3/4"], ["1/2", "1"]],
+    "support": [
+        {"values": ["3/4", "3/4", "1"], "probability": "1/4"},
+        {"values": ["3/4", "1/4", "1/2"], "probability": "1/8"},
+        {"values": ["3/4", "1/4", "1"], "probability": "1/8"},
+        {"values": ["1/4", "1/4", "1/2"], "probability": "1/4"},
+    ],
+}
 
 
 class TestDeterminism:

@@ -33,8 +33,6 @@ from fpaeq.model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
-    expand_symmetric,
     marginal,
     support_values,
 )
@@ -165,7 +163,7 @@ class TestUtilitySymmetric:
         groups = auction.prior.groups
         strategies = []
         for g, members in enumerate(groups):
-            values = auction.prior.group_values[g]
+            values = auction.prior.value_spaces[members[0]]
             bids = [rng.choice(list(auction.bids)) for _ in values]
             strategies.append(_pure(g, values, bids))
         return Profile(strategies, groups=groups)
@@ -175,7 +173,7 @@ class TestUtilitySymmetric:
         for _ in range(40):
             auc = random_symmetric_auction(rng)
             prof = self._symmetric_profile(rng, auc)
-            expanded_auc = Auction(auc.bids, expand_symmetric(auc.prior))
+            expanded_auc = Auction(auc.bids, auc.prior.expanded)
             expanded_prof = prof.expand(auc.n)
             for g, members in enumerate(auc.prior.groups):
                 i = members[0]
@@ -193,18 +191,14 @@ class TestUtilitySymmetric:
                         assert succinct == direct
 
     def test_single_tuple_tie_case(self):
-        sym = SymmetricDiscretePrior(
-            2, [(0, 1)], [(F(1, 2),)], [((F(1, 2), F(1, 2)), 1)]
-        )
+        sym = DiscretePrior(2, [(F(1, 2),)] * 2, [((F(1, 2), F(1, 2)), 1)], [(0, 1)])
         auc = Auction(BidSpace([0, F(1, 4)]), sym)
         prof = Profile([_pure(0, [F(1, 2)], [F(1, 4)])], groups=[(0, 1)])
         assert utility(auc, 0, F(1, 2), F(1, 4), prof) == F(1, 8)
         assert utility(auc, 0, F(1, 2), F(0), prof) == 0
 
     def test_per_seat_profile_matches_per_group(self):
-        sym = SymmetricDiscretePrior(
-            2, [(0, 1)], [(F(1, 2),)], [((F(1, 2), F(1, 2)), 1)]
-        )
+        sym = DiscretePrior(2, [(F(1, 2),)] * 2, [((F(1, 2), F(1, 2)), 1)], [(0, 1)])
         auc = Auction(BidSpace([0, F(1, 4)]), sym)
         half = [F(1, 2)]
         per_seat = Profile([_pure(0, half, [F(1, 4)]), _pure(1, half, [F(1, 4)])])
@@ -509,8 +503,7 @@ def _reference_win_masses(auc, profile, i, v):
     profile = profile.expand(auc.n)
     out = []
     if auc.is_discrete:
-        if isinstance(prior, SymmetricDiscretePrior):
-            prior = expand_symmetric(prior)
+        prior = prior.expanded
         for b in auc.bids:
             acc = F(0)
             for tup, m in prior.support:
@@ -575,7 +568,7 @@ def _discrete_case(rng, kind):
     else:
         auc = random_symmetric_auction(rng)
         groups = auc.prior.groups
-        spaces, seats = auc.prior.group_values, range(len(groups))
+        spaces, seats = [auc.prior.value_spaces[g[0]] for g in groups], range(len(groups))
     make = rng.choice((_random_pure, _random_mixed))
     bids = list(auc.bids)
     profile = Profile([make(rng, s, spaces[s], bids) for s in seats], groups=groups)
@@ -769,7 +762,7 @@ def _integer_kernel_case(rng, kind, mixed):
     if kind == "symmetric":
         auc = random_symmetric_auction(rng)
         groups = auc.prior.groups
-        spaces, seats = auc.prior.group_values, range(len(groups))
+        spaces, seats = [auc.prior.value_spaces[g[0]] for g in groups], range(len(groups))
     else:
         n = rng.randint(2, 3)
         grid = [F(k, 8) for k in range(9)]

@@ -15,9 +15,7 @@ from fpaeq.model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
     conditional,
-    expand_symmetric,
     marginal,
     marginal_mass,
     multiplicity,
@@ -29,6 +27,7 @@ from fpaeq.model import (
 from conftest import random_discrete_auction, random_symmetric_auction
 
 F = Fraction
+Q, H, G = F(1, 4), F(3, 4), [(0, 1)]
 
 
 class TestRationals:
@@ -69,23 +68,70 @@ class TestValidation:
         assert validate_instance(prop34).ok
 
     def test_symmetric_mass_deficit_reported(self):
-        prior = SymmetricDiscretePrior(
+        prior = DiscretePrior(
             2,
-            [(0, 1)],
-            [(F(1, 2), F(1, 4))],
+            [(F(1, 2), F(1, 4))] * 2,
             [((F(1, 2), F(1, 4)), F(7, 16))],  # m=2, total 7/8
+            [(0, 1)],
         )
         report = validate_instance(prior)
         assert not report.ok
         assert any("7/8" in v for v in report.violations)
 
     def test_noncanonical_tuple_rejected_not_sorted(self):
-        prior = SymmetricDiscretePrior(
-            2, [(0, 1)], [(F(1, 4), F(1, 2))], [((F(1, 4), F(1, 2)), F(1, 2))]
+        prior = DiscretePrior(
+            2, [(F(1, 4), F(1, 2))] * 2, [((F(1, 4), F(1, 2)), F(1, 2))], [(0, 1)]
         )
         report = validate_instance(prior)
         assert not report.ok
         assert any("canonical" in v for v in report.violations)
+
+    @pytest.mark.parametrize("groups, spaces, support, message", [
+        pytest.param(None, [(Q, H)] * 2, [((Q,), F(1, 2)), ((H, Q), F(1, 2))],
+                     "support[0]: tuple arity 1 != n=2", id="arity"),
+        pytest.param(G, [(Q, H)] * 2, [((H,), F(1, 2))],
+                     "support[0]: tuple arity 1 != n=2", id="arity-grouped"),
+        pytest.param(None, [(Q, H)] * 2, [((Q, H), F(0)), ((H, Q), F(1))],
+                     "support[0]: mass 0 not strictly positive", id="mass"),
+        pytest.param(G, [(Q, H)] * 2, [((H, Q), F(0)), ((Q, Q), F(1))],
+                     "support[0]: mass 0 not strictly positive", id="mass-grouped"),
+        pytest.param(None, [(Q, H)] * 2, [((Q, H), F(1, 2))] * 2,
+                     f"support[1]: duplicate tuple {(Q, H)}", id="duplicate"),
+        pytest.param(G, [(Q, H)] * 2, [((H, Q), F(1, 4))] * 2,
+                     f"support[1]: duplicate tuple {(H, Q)}", id="duplicate-grouped"),
+        pytest.param(None, [(Q, H)] * 2, [((Q, F(1, 2)), F(1, 2)), ((H, Q), F(1, 2))],
+                     "support[0]: component 1 value 1/2 not in V_1", id="value"),
+        pytest.param(G, [(Q, H)] * 2, [((H, F(1, 8)), F(1, 2))],
+                     "support[0]: component 1 value 1/8 not in V_1", id="value-grouped"),
+        pytest.param(None, [(Q, F(5, 4)), (Q, H)], [((Q, H), F(1, 2)), ((F(5, 4), Q), F(1, 2))],
+                     "value space 0: values outside [0,1]", id="range"),
+        pytest.param(G, [(Q, F(5, 4))] * 2, [((F(5, 4), Q), F(1, 2))],
+                     "value space 0: values outside [0,1]", id="range-grouped"),
+        pytest.param(None, [(H, Q), (Q, H)], [((Q, H), F(1, 2)), ((H, Q), F(1, 2))],
+                     "value space 0: not strictly increasing", id="order"),
+        pytest.param(G, [(H, Q)] * 2, [((H, Q), F(1, 2))],
+                     "value space 0: not strictly increasing", id="order-grouped"),
+        pytest.param(None, [(Q, H)], [((Q, H), F(1))],
+                     "expected 2 value spaces, got 1", id="space-count"),
+        pytest.param(G, [(Q, H)] * 2, [((Q, H), F(1, 2))],
+                     f"support[0]: tuple {(Q, H)} not canonical (non-increasing per group)",
+                     id="canonical-grouped"),
+        pytest.param([(0,)], [(Q, H)] * 2, [((H, Q), F(1, 2))],
+                     "groups ((0,),) do not partition 0..1", id="partition-grouped"),
+        pytest.param([(0, 1), ()], [(Q, H)] * 2, [((H, Q), F(1, 2))],
+                     "groups ((0, 1), ()) do not partition 0..1", id="empty-group"),
+        pytest.param(G, [(Q, H), (Q,)], [((Q, Q), F(1))],
+                     "group (0, 1): bidders do not share one value space", id="shared-grouped"),
+        pytest.param(None, [(Q, H)] * 2, [((Q, H), F(1, 2)), ((H, Q), F(1, 4))],
+                     "total mass 3/4 != 1", id="total"),
+        pytest.param(G, [(Q, H)] * 2, [((H, Q), F(1, 4))],
+                     "total mass 1/2 != 1", id="total-grouped"),
+    ])
+    def test_each_discrete_rule(self, groups, spaces, support, message):
+        valid = DiscretePrior(2, [(Q, H)] * 2, [((H, Q), F(1, 2))], G)
+        assert validate_instance(valid).ok
+        report = validate_instance(DiscretePrior(2, spaces, support, groups))
+        assert message in report.violations
 
     def test_lift_style_disjoint_cubes_ok(self, apv_fixture):
         from fpaeq.reduction import lift_dfpa_to_cfpa
@@ -199,20 +245,18 @@ class TestMarginalConditional:
 
 class TestSymmetric:
     def test_two_bidder_expansion(self):
-        sym = SymmetricDiscretePrior(
-            2, [(0, 1)], [(F(1, 4), F(1, 2))], [((F(1, 2), F(1, 4)), F(1, 2))]
+        sym = DiscretePrior(
+            2, [(F(1, 4), F(1, 2))] * 2, [((F(1, 2), F(1, 4)), F(1, 2))], [(0, 1)]
         )
-        prior = expand_symmetric(sym)
+        prior = sym.expanded
         assert dict(prior.support) == {
             (F(1, 2), F(1, 4)): F(1, 2),
             (F(1, 4), F(1, 2)): F(1, 2),
         }
 
     def test_repeated_entry_single_expansion(self):
-        sym = SymmetricDiscretePrior(
-            2, [(0, 1)], [(F(1, 2),)], [((F(1, 2), F(1, 2)), F(1))]
-        )
-        prior = expand_symmetric(sym)
+        sym = DiscretePrior(2, [(F(1, 2),)] * 2, [((F(1, 2), F(1, 2)), F(1))], [(0, 1)])
+        prior = sym.expanded
         assert dict(prior.support) == {(F(1, 2), F(1, 2)): F(1)}
 
     def test_grouped_expansion_mass_one(self):
@@ -220,14 +264,14 @@ class TestSymmetric:
         for _ in range(30):
             auction = random_symmetric_auction(rng)
             assert validate_instance(auction).ok
-            expanded = expand_symmetric(auction.prior)
+            expanded = auction.prior.expanded
             assert validate_instance(expanded).ok
 
     def test_marginals_commute_with_expansion(self):
         rng = random.Random(5)
         for _ in range(20):
             auction = random_symmetric_auction(rng)
-            expanded = expand_symmetric(auction.prior)
+            expanded = auction.prior.expanded
             for i in range(auction.n):
                 for v in auction.prior.value_spaces[i]:
                     assert marginal_mass(auction.prior, i, v) == marginal_mass(
@@ -290,8 +334,8 @@ class TestStrategies:
         assert any("overbidding" in v for v in report.violations)
 
     def test_validate_profile_seats_groups_and_kinds(self, uniform_box2):
-        sym = SymmetricDiscretePrior(
-            3, [(0, 1), (2,)], [(F(1, 2),), (0, F(1, 2))], [((F(1, 2),) * 3, 1)]
+        sym = DiscretePrior(
+            3, [(F(1, 2),), (F(1, 2),), (0, F(1, 2))], [((F(1, 2),) * 3, 1)], [(0, 1), (2,)]
         )
         auc = Auction(BidSpace([0, F(1, 4)]), sym)
         # per-group strategies are checked against each group's first bidder

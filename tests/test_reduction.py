@@ -480,7 +480,7 @@ class TestLift:
         lifted = lift_dfpa_to_cfpa(auction, F(1, 64))
         box = lifted.cfpa.prior
         assert box.groups == auction.prior.groups
-        assert len(box.boxes) == len(auction.prior.rep_support)
+        assert len(box.boxes) == len(auction.prior.support)
         assert box.total_mass == 1
 
     def test_win_prob_contract(self, apv_fixture):

@@ -15,8 +15,6 @@ from fpaeq.model import (
     DiscretePrior,
     Profile,
     PureStrategy,
-    SymmetricDiscretePrior,
-    expand_symmetric,
 )
 from fpaeq.search import (
     BudgetExceeded,
@@ -133,20 +131,20 @@ class TestEnumeratePure:
 
 class TestEnumerateSymmetric:
     def test_symmetric_equilibrium_verifies_on_expansion(self):
-        sym = SymmetricDiscretePrior(
+        sym = DiscretePrior(
             2,
-            [(0, 1)],
-            [(F(1, 4), F(3, 4))],
+            [(F(1, 4), F(3, 4))] * 2,
             [
                 ((F(1, 4), F(1, 4)), F(3, 8)),
                 ((F(3, 4), F(1, 4)), F(1, 8)),
                 ((F(3, 4), F(3, 4)), F(3, 8)),
             ],
+            [(0, 1)],
         )
         auc = Auction(BidSpace([0, F(1, 4)]), sym)
         result = enumerate_symmetric_pure(auc, SearchConfig(eps=ZERO))
         assert result.found
-        expanded = Auction(auc.bids, expand_symmetric(sym))
+        expanded = Auction(auc.bids, sym.expanded)
         per_bidder = result.profile.expand(2)
         assert verify_pbne(expanded, per_bidder, ZERO).ok
 
@@ -154,18 +152,18 @@ class TestEnumerateSymmetric:
         # anti-correlated two-bidder prior: the bidder with the higher value
         # always faces the next value down, so common strategies chase each
         # other around the bid grid and never settle
-        sym = SymmetricDiscretePrior(
+        sym = DiscretePrior(
             2,
-            [(0, 1)],
-            [(F(1, 8), F(1, 2), F(7, 8))],
+            [(F(1, 8), F(1, 2), F(7, 8))] * 2,
             [((F(7, 8), F(1, 2)), F(1, 6)), ((F(1, 2), F(1, 8)), F(1, 3))],
+            [(0, 1)],
         )
         auc = Auction(BidSpace([0, F(1, 16), F(5, 16), F(9, 16)]), sym)
         result = enumerate_symmetric_pure(auc, SearchConfig(eps=ZERO))
         assert result.status == "none"
         # cross-check by brute force over all symmetric profiles on the
         # expanded instance
-        expanded = Auction(auc.bids, expand_symmetric(sym))
+        expanded = Auction(auc.bids, sym.expanded)
         values = (F(1, 8), F(1, 2), F(7, 8))
         import itertools
 
@@ -178,7 +176,7 @@ class TestEnumerateSymmetric:
             assert not verify_pbne(expanded, prof, ZERO).ok
 
     def test_single_bid_space_returns_all_zero(self):
-        sym = SymmetricDiscretePrior(2, [(0, 1)], [(F(1, 2),)], [((F(1, 2), F(1, 2)), F(1))])
+        sym = DiscretePrior(2, [(F(1, 2),)] * 2, [((F(1, 2), F(1, 2)), F(1))], [(0, 1)])
         auc = Auction(BidSpace([0]), sym)
         result = enumerate_symmetric_pure(auc, SearchConfig(eps=ZERO))
         assert result.found
