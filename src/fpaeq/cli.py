@@ -33,6 +33,7 @@ from .model import (
     Profile,
     PureStrategy,
     marginal,
+    marginal_mass,
     rat,
     validate_instance,
     validate_profile,
@@ -137,9 +138,12 @@ def _invalid(violations) -> CliError:
     return CliError(EXIT_VALIDATION, "validation", "; ".join(violations))
 
 
-def _bidder(auction: Auction, i: int) -> int:
+def _bidder(auction: Auction, i: int, value: Fraction | None = None) -> int:
+    """``i``, once it is a seat and, if given, ``value`` has positive mass in its marginal."""
     if not 0 <= i < auction.n:
         raise _invalid([f"bidder {i} out of range 0..{auction.n - 1}"])
+    if value is not None and marginal_mass(auction.prior, i, value) == 0:
+        raise _invalid([f"value {value} outside marginal support of bidder {i}"])
     return i
 
 
@@ -207,7 +211,7 @@ def cmd_marginal(args) -> int:
 def cmd_utility(args) -> int:
     auction = _load_instance(args)
     profile = _load_profile(args.profile, auction)
-    i = _bidder(auction, args.bidder)
+    i = _bidder(auction, args.bidder, args.value)
     u = engine.utility(auction, i, args.value, args.bid, profile, raw=args.raw)
     print(fmt(u))
     return EXIT_OK
@@ -216,7 +220,7 @@ def cmd_utility(args) -> int:
 def cmd_best_response(args) -> int:
     auction = _load_instance(args)
     profile = _load_profile(args.profile, auction)
-    i = _bidder(auction, args.bidder)
+    i = _bidder(auction, args.bidder, args.value)
     rep = engine.best_response(
         auction, i, args.value, profile, no_overbidding=not args.allow_overbid
     )

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import ceil, lcm
 
 from .model import (
     ONE,
@@ -404,13 +404,8 @@ def bounds_profile(auction: Auction) -> BoundsProfile:
 # ---------------------------------------------------------------------------
 
 def _ceil_log2(q: Fraction) -> int:
-    if q <= 1:
-        return 0
-    k, t = 0, 1
-    while t < q:
-        t *= 2
-        k += 1
-    return k
+    """The least k >= 0 with 2^k >= q."""
+    return (ceil(q) - 1).bit_length() if q > 1 else 0
 
 
 def approx_invert(auction: Auction, b, eps, _beta=None, _bounds=None) -> Fraction:

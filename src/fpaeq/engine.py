@@ -30,11 +30,13 @@ the win probability ``H(b)`` for every bid at once, in three pieces:
 or over a distribution's bids, and weighs the utilities ``(v - b) * H(b)``.
 Best responses, verification and the search's candidate check read the same
 vector.  Verification runs :func:`bidder_deviations`, one deviation loop per
-(bidder, value) -- per cell for CFPA -- for each bidder against one game, or
-for bidder 0 alone, its records compared once for all seats, when every seat
-of an iid prior plays one strategy; ``verify_pbne`` runs it to the end and
-``is_pbne`` stops at the first violation.  The search runs it per bidder
-against games it shares between candidates with the same opponents.
+(bidder, value) -- per cell for CFPA -- against one game for the first seat of
+each orbit: seats that are exchangeable under the prior (those of an iid prior,
+of a permutation-symmetric box list or of one group) and play equal strategies.
+Its records are compared once and reported for every seat of the orbit, in seat
+order; ``verify_pbne`` runs it to the end and ``is_pbne`` stops at the first
+violation.  The search runs it per bidder against games it shares between
+candidates with the same opponents.
 
 Utilities come in two normalizations:
 
@@ -580,26 +582,44 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy):
                 yield i, vpt, cur, b, (vpt - b) * hb - current
 
 
+def _orbits(auction: Auction, profile: Profile) -> list[list[int]]:
+    """Seats exchangeable under the prior -- all seats of an iid prior or of a
+    permutation-symmetric ungrouped box list, one group of a grouped prior --
+    split by equal strategies, sorted by first seat."""
+    prior, n = auction.prior, auction.n
+    boxes = isinstance(prior, BoxDensity) and prior.groups is None
+    iid = isinstance(prior, IIDMarginal)
+    orbits: list[list[int]] = []
+    for members in [range(n)] if boxes or iid else prior.groups or [[i] for i in range(n)]:
+        start = len(orbits)
+        for i in members:
+            s = profile.for_bidder(i)
+            orbit = next((o for o in orbits[start:] if profile.for_bidder(o[0]) == s), [])
+            if not orbit:
+                orbits.append(orbit)
+            orbit.append(i)
+    if boxes and len(orbits) < n and not prior.permutation_symmetric:
+        return [[i] for i in range(n)]
+    return sorted(orbits)
+
+
 def _deviations(auction: Auction, profile: Profile):
-    """(seats, records) per checked bidder against one game of the profile."""
+    """(seats, records) per orbit, or per group's first seat for a per-group
+    profile on a grouped prior, against one game of the profile."""
     game = _Game(auction, profile)
-    first = profile.strategies[0]
-    if game._iid and all(s == first for s in profile.strategies):
-        # exchangeable seats: bidder 0's records hold for every seat
-        yield range(auction.n), bidder_deviations(auction, game, 0, first)
-        return
-    bidders = [g[0] for g in auction.prior.groups] if game.succinct else range(auction.n)
-    for i in bidders:
-        yield (i,), bidder_deviations(auction, game, i, profile.for_bidder(i))
+    succinct = [[g[0]] for g in auction.prior.groups] if game.succinct else None
+    for seats in succinct or _orbits(auction, profile):
+        yield seats, bidder_deviations(auction, game, seats[0], profile.for_bidder(seats[0]))
 
 
 def _verify(
     auction: Auction, profile: Profile, eps: Fraction, first: bool = False
 ) -> VerificationReport:
     """Run the deviation loop; ``first`` stops at the first violation.  Each
-    record is compared once and its violation reported for each of its seats."""
+    record is compared once and reported for each seat of its orbit, seat-major."""
     max_gain = ZERO
     violations = []
+    replayed = False  # some orbit holds two seats
     for seats, records in _deviations(auction, profile):
         bad = []
         for record in records:
@@ -609,8 +629,11 @@ def _verify(
                 if first:
                     break
         violations += [Violation(i, *r) for i in seats for r in bad]
+        replayed |= len(seats) > 1
         if first and bad:
             break
+    if replayed:  # orbits interleave, as groups ((0, 2), (1,)) do
+        violations.sort(key=lambda x: x.bidder)
     return VerificationReport(
         ok=not violations, eps=eps, max_gain=max_gain, violations=tuple(violations)
     )

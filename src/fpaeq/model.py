@@ -28,7 +28,7 @@ returns a report instead of raising.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -248,13 +248,17 @@ class BoxDensity:
 
     @cached_property
     def permutation_symmetric(self) -> bool:
-        """Every coordinate permutation of every box is in the box list
-        (checked once per prior: n! images per box)."""
-        expanded = set(self.expanded_boxes)
+        """Every coordinate permutation maps the box list, as a multiset, onto
+        itself.  The n - 1 adjacent transpositions generate all permutations,
+        so the check swaps coordinates k, k + 1 of every box, once per k."""
+
+        def swap(x: tuple, k: int) -> tuple:
+            return x[:k] + (x[k + 1], x[k]) + x[k + 2:]
+
+        boxes = Counter(self.expanded_boxes)
         return all(
-            (tuple(lo[k] for k in perm), tuple(hi[k] for k in perm), w) in expanded
-            for lo, hi, w in self.expanded_boxes
-            for perm in itertools.permutations(range(self.n))
+            Counter((swap(lo, k), swap(hi, k), w) for lo, hi, w in self.expanded_boxes) == boxes
+            for k in range(self.n - 1)
         )
 
     @cached_property
@@ -684,6 +688,8 @@ def _check_discrete(prior: DiscretePrior, errs: list[str]) -> None:
     for g in groups or ():
         if any(prior.value_spaces[i] != prior.value_spaces[g[0]] for i in g):
             errs.append(f"group {g}: bidders do not share one value space")
+    # values as (numerator, denominator): a Fraction's hash costs a modular inverse
+    spaces = [{(v.numerator, v.denominator) for v in vs} for vs in prior.value_spaces]
     seen = set()
     total = ZERO
     for k, (tup, m) in enumerate(prior.support):
@@ -695,11 +701,12 @@ def _check_discrete(prior: DiscretePrior, errs: list[str]) -> None:
         if groups is not None and not is_canonical(tup, groups):
             errs.append(f"support[{k}]: tuple {tup} not canonical (non-increasing per group)")
             continue
-        if tup in seen:
+        size = len(seen)
+        seen.add(tup)  # one tuple hash per point
+        if len(seen) == size:
             errs.append(f"support[{k}]: duplicate tuple {tup}")
-        seen.add(tup)
         for i, v in enumerate(tup):
-            if v not in prior.value_spaces[i]:
+            if (v.numerator, v.denominator) not in spaces[i]:
                 errs.append(f"support[{k}]: component {i} value {v} not in V_{i}")
         total += m if groups is None else multiplicity(tup, groups) * m
     if total != 1:

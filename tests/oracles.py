@@ -9,12 +9,16 @@ prior, the references for the densify module's once-built tables, and the
 searches as the per-candidate walk that verifies every candidate afresh, the
 reference for the search module's shared deviation tables, and the beta
 bisection as the Fraction loop, the reference for the integer-only one.
+Verification is also kept seat by seat, the reference for the engine's one
+seat per orbit, and the symmetry of a box list as its n! images, the
+reference for the adjacent-transposition check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from fpaeq.model import (
@@ -26,7 +30,13 @@ from fpaeq.model import (
     PureStrategy,
     support_values,
 )
-from fpaeq.engine import verify_pbne
+from fpaeq.engine import (
+    VerificationReport,
+    Violation,
+    _Game,
+    bidder_deviations,
+    verify_pbne,
+)
 from fpaeq.search import SearchResult, _bid_choices, _fill_strategy, _jump_vectors
 from fpaeq.serialize import dumps, profile_to_doc
 
@@ -387,7 +397,7 @@ def ref_approx_invert(auction: Auction, b, eps, beta) -> Fraction:
     """The bisection of ``densify.approx_invert`` on Fractions, for any
     callable beta: halve [vlo, 1] at its exact midpoint until the bracketing
     beta-gap closes below eps or the Lipschitz-derived cap runs out."""
-    from fpaeq.densify import _ceil_log2, bounds_profile
+    from fpaeq.densify import bounds_profile
 
     b, eps = Fraction(b), Fraction(eps)
     bounds = bounds_profile(auction)
@@ -397,7 +407,7 @@ def ref_approx_invert(auction: Auction, b, eps, beta) -> Fraction:
         raise ValueError(f"bid {b} outside the bidding range [{beta_lo}, {beta_hi}]")
     if b == beta_lo:
         return vlo
-    cap = _ceil_log2(bounds.lipschitz * (ONE - vlo) / eps) + 2
+    cap = ref_ceil_log2(bounds.lipschitz * (ONE - vlo) / eps) + 2
     lo, hi = vlo, ONE
     for _ in range(cap):
         if beta_hi - beta_lo <= eps:
@@ -409,3 +419,45 @@ def ref_approx_invert(auction: Auction, b, eps, beta) -> Fraction:
         else:
             lo, beta_lo = mid, bm
     return hi
+
+
+def ref_ceil_log2(q: Fraction) -> int:
+    """The least k >= 0 with 2^k >= q, by doubling: the reference for
+    ``densify._ceil_log2``."""
+    if q <= 1:
+        return 0
+    k, t = 0, 1
+    while t < q:
+        t *= 2
+        k += 1
+    return k
+
+
+def ref_permutation_symmetric(prior: BoxDensity) -> bool:
+    """Every one of the n! coordinate permutations maps the box list, as a
+    multiset, onto itself: the reference for the transposition check of
+    ``BoxDensity.permutation_symmetric``."""
+    boxes = Counter(prior.expanded_boxes)
+    return all(
+        Counter(
+            (tuple(lo[k] for k in perm), tuple(hi[k] for k in perm), w)
+            for lo, hi, w in prior.expanded_boxes
+        ) == boxes
+        for perm in itertools.permutations(range(prior.n))
+    )
+
+
+def per_seat_report(auction: Auction, profile: Profile, eps) -> VerificationReport:
+    """The verification report with every seat's deviations computed and
+    compared on their own, seat by seat: the reference for the engine's one
+    seat per orbit.  The profile is taken per seat."""
+    eps = Fraction(eps)
+    profile = profile.expand(auction.n)
+    max_gain, violations = ZERO, []
+    for i in range(auction.n):
+        game = _Game(auction, profile)
+        for record in bidder_deviations(auction, game, i, profile.strategies[i]):
+            max_gain = max(max_gain, record[-1])
+            if record[-1] > eps:
+                violations.append(Violation(*record))
+    return VerificationReport(not violations, eps, max_gain, tuple(violations))

@@ -476,6 +476,20 @@ class TestBoundaryValidation:
         extra = [] if verb[0] == "marginal" else ["--profile", prof]
         self._rejected(capsys, *verb, "--instance", inst, *extra)
 
+    @pytest.mark.parametrize("verb", [["utility", "--bid", "0"], ["best-response"]])
+    def test_value_outside_marginal_support(self, capsys, tmp_path, verb):
+        # bidder 0's group takes the values 1/4 and 3/4 only
+        inst, prof = tmp_path / "sym3.json", tmp_path / "zero.json"
+        inst.write_text(json.dumps(SYM3))
+        zero = [PureStrategy(0, {F(1, 4): 0, F(3, 4): 0}), PureStrategy(2, {F(1, 2): 0, F(1): 0})]
+        save_profile(Profile(zero, groups=[(0, 1), (2,)]), str(prof))
+        argv = [*verb, "--instance", inst, "--profile", prof, "--bidder", 0]
+        assert run(capsys, *argv, "--value", "3/4")[0] == EXIT_OK
+        self._rejected(capsys, *argv, "--value", "1/2")
+        assert json.loads(run(capsys, *argv, "--value", "1/2")[2])["detail"] == (
+            "value 1/2 outside marginal support of bidder 0"
+        )
+
     def test_iid_bidder_out_of_range(self, capsys, tmp_path):
         self._rejected(capsys, "marginal", "--instance", _iid3(tmp_path), "--bidder", 5)
 

@@ -9,6 +9,7 @@ from fpaeq.densify import (
     DEFAULT_EPS,
     PiecewisePoly,
     UnsupportedPrior,
+    _ceil_log2,
     affiliation_L,
     approx_invert,
     bid_denseness,
@@ -36,6 +37,7 @@ from oracles import (
     quad_beta_sapv,
     ref_affiliation_L,
     ref_approx_invert,
+    ref_ceil_log2,
     ref_beta_iid,
     ref_beta_sapv,
 )
@@ -310,6 +312,18 @@ class TestApproxInvert:
         auc = grid_auction(UNIFORM, 2)
         with pytest.raises(ValueError):
             approx_invert(auc, F(3, 4), DEFAULT_EPS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.one_of(
+            st.fractions(min_value=-2, max_value=10**12, max_denominator=10**6),
+            st.integers(0, 80).map(lambda k: F(2**k)),  # exact powers of 2
+            st.integers(0, 80).map(lambda k: F(2**k) + F(1, 10**9)),
+            st.integers(1, 10**12).map(lambda d: 1 + F(1, d)),  # just above 1
+        )
+    )
+    def test_ceil_log2_matches_doubling(self, q):
+        assert _ceil_log2(q) == ref_ceil_log2(q)
 
 
 class TestDensifySolve:

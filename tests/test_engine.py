@@ -34,6 +34,7 @@ from fpaeq.model import (
     Profile,
     PureStrategy,
     marginal,
+    multiplicity,
     support_values,
 )
 from fpaeq.search import default_jump_grid
@@ -49,6 +50,7 @@ from conftest import (
 from oracles import (
     enum_utility_dfpa,
     enum_win_prob_dfpa,
+    per_seat_report,
     rect_utility_cfpa,
 )
 
@@ -826,3 +828,139 @@ class TestIntegerKernel:
         assert report == _enum_report(auc, profile, eps, bidders)
         assert type(report.max_gain) is F
         assert all(type(x.gain) is F for x in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# one seat per orbit: exchangeable seats playing equal strategies
+# ---------------------------------------------------------------------------
+
+# interleaved groups, listed in either order, make a third of the layouts
+ORBIT_GROUPS = [
+    ((0, 1),), ((0, 1, 2),), ((0, 2), (1,)), ((1,), (0, 2)), ((0, 1), (2,)), ((0,), (1, 2))
+]
+
+
+def _canonical(tup, groups):
+    """Each group's entries in non-increasing order over its seats."""
+    out = list(tup)
+    for g in groups:
+        for i, x in zip(g, sorted((tup[i] for i in g), reverse=True)):
+            out[i] = x
+    return tuple(out)
+
+
+def _orbit_boxes(rng, kind):
+    """(box prior, seat classes to share strategies over).  ``grouped``: a
+    grouped prior, interleaved groups included; ``symmetric``: the expansion
+    of a one-group prior; ``asymmetric``: that expansion with one image
+    dropped or the weights of two entries swapped."""
+    groups = rng.choice(ORBIT_GROUPS) if kind == "grouped" else (tuple(range(rng.randint(2, 3))),)
+    n = max(i for g in groups for i in g) + 1
+    quarters = [F(k, 4) for k in range(5)]
+    boxes = []
+    for _ in range(rng.randint(1, 2)):
+        ivs = _canonical(tuple(tuple(sorted(rng.sample(quarters, 2))) for _ in range(n)), groups)
+        boxes.append((tuple(a for a, _ in ivs), tuple(c for _, c in ivs), F(rng.randint(1, 4))))
+    prior = BoxDensity(n, boxes, groups)
+    if kind != "grouped":
+        boxes = list(prior.expanded_boxes)
+        if kind == "asymmetric" and len(boxes) > 1:
+            j, k = rng.sample(range(len(boxes)), 2)
+            if rng.random() < 0.5:
+                boxes.pop(j)
+            else:
+                boxes[j], boxes[k] = (*boxes[j][:2], boxes[k][2]), (*boxes[k][:2], boxes[j][2])
+        prior = BoxDensity(n, boxes, None)
+    mass = prior.total_mass
+    prior = BoxDensity(n, [(lo, hi, w / mass) for lo, hi, w in prior.boxes], prior.groups)
+    return prior, groups
+
+
+def _orbit_discrete(rng):
+    """A grouped discrete prior, interleaved groups included."""
+    groups = rng.choice(ORBIT_GROUPS + [((0, 2), (1, 3))])
+    n = max(i for g in groups for i in g) + 1
+    eighths = [F(k, 8) for k in range(9)]
+    values = [tuple(sorted(rng.sample(eighths, rng.randint(1, 2)))) for _ in groups]
+    spaces = [None] * n
+    for g, vals in zip(groups, values):
+        for i in g:
+            spaces[i] = vals
+    pool = sorted({_canonical(tuple(rng.choice(s) for s in spaces), groups) for _ in range(6)})
+    chosen = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+    weights = random_rationals(rng, len(chosen))
+    support = [(t, w / multiplicity(t, groups)) for t, w in zip(chosen, weights)]
+    return DiscretePrior(n, spaces, support, groups)
+
+
+def _orbit_case(rng, kind, mixed):
+    """(auction, per-seat profile): per seat class, one shared strategy,
+    equal copies or one strategy per seat.  A DFPA strategy names the class's
+    first seat, or its own seat when seats differ."""
+    if kind == "discrete":
+        prior = _orbit_discrete(rng)
+        groups, bids = prior.groups, [F(0)] + sorted(rng.sample([F(k, 9) for k in range(1, 10)], 2))
+        make = _random_mixed if mixed else _random_pure
+
+        def strategy(seat, seed):
+            return make(random.Random(seed), seat, prior.value_spaces[seat], bids)
+    else:
+        prior, groups = _orbit_boxes(rng, kind)
+        bids = [F(0)] + sorted(rng.sample([F(k, 8) for k in range(1, 8)], 2))
+
+        def strategy(seat, seed):
+            return _random_jump(random.Random(seed), bids)
+    strategies = [None] * prior.n
+    for g in groups:
+        mode, seed = rng.choice(["shared", "equal", "distinct"]), rng.random()
+        shared = strategy(g[0], seed)
+        for i in g:
+            if mode == "shared":
+                strategies[i] = shared
+            elif mode == "equal":
+                strategies[i] = strategy(g[0], seed)
+            else:
+                strategies[i] = strategy(i, rng.random())
+    return Auction(BidSpace(bids), prior), Profile(strategies)
+
+
+class TestOrbits:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        # a seeded random.Random: its draws spread like real ones, so the
+        # rare layouts (interleaved groups, violations in two orbits) show up
+        rng=st.randoms(use_true_random=True),
+        kind=st.sampled_from(["grouped", "symmetric", "asymmetric", "discrete"]),
+        mixed=st.booleans(),
+        eps=st.sampled_from([F(0), F(1, 20), F(1, 7)]),
+    )
+    def test_matches_per_seat_verification(self, rng, kind, mixed, eps):
+        mixed = mixed and kind == "discrete"
+        auc, profile = _orbit_case(rng, kind, mixed)
+        report = (verify_mbne if mixed else verify_pbne)(auc, profile, eps)
+        assert report == per_seat_report(auc, profile, eps)
+        if not mixed:
+            assert is_pbne(auc, profile, eps) == report.ok
+
+    def test_interleaved_orbit_reports_seat_major(self):
+        # groups {0, 2} and {1} under one strategy: orbits [0, 2] and [1], whose
+        # violations interleave by seat
+        prior = BoxDensity(3, [((0, 0, 0), (1, 1, 1), 1)], groups=[(0, 2), (1,)])
+        bids = [F(0), F(1, 4), F(1, 2)]
+        low = JumpStrategy(bids, [0, 1, 1, 1])
+        auc = Auction(BidSpace(bids), prior)
+        report = verify_pbne(auc, Profile([low, low, low]), 0)
+        assert [v.bidder for v in report.violations] == sorted(v.bidder for v in report.violations)
+        assert {v.bidder for v in report.violations} == {0, 1, 2}
+        assert report == per_seat_report(auc, Profile([low, low, low]), 0)
+
+    def test_duplicate_box_is_not_symmetric(self):
+        # A, A and A's mirror image: closed as a set, not as a multiset
+        a = ((F(0), F(1, 2)), (F(1, 2), F(1)), F(1))
+        mirror = ((F(1, 2), F(0)), (F(1), F(1, 2)), F(1))
+        prior = BoxDensity(2, [a, a, mirror])
+        assert not prior.permutation_symmetric
+        bids = [F(0), F(1, 4), F(1, 2)]
+        s = JumpStrategy(bids, [0, F(1, 2), F(3, 4), 1])
+        auc = Auction(BidSpace(bids), BoxDensity(2, [(lo, hi, w * 4 / 3) for lo, hi, w in prior.boxes]))
+        assert verify_pbne(auc, Profile([s, s]), 0) == per_seat_report(auc, Profile([s, s]), 0)

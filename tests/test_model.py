@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from fpaeq.model import (
     validate_strategy,
 )
 from conftest import random_discrete_auction, random_symmetric_auction
+from oracles import ref_permutation_symmetric
 
 F = Fraction
 Q, H, G = F(1, 4), F(3, 4), [(0, 1)]
@@ -374,3 +376,36 @@ class TestBoxDensity:
         assert prior.density_at((F(3, 4), F(1, 4))) == 3
         assert prior.density_at((F(1, 4), F(3, 4))) == 3
         assert prior.density_at((F(1, 4), F(1, 4))) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=True),  # draws spread like real ones
+        case=st.sampled_from(["symmetric", "image removed", "weights swapped"]),
+    )
+    def test_transposition_check_matches_all_permutations(self, rng, case):
+        # every distinct image of 1-2 random boxes in n <= 4 coordinates; then
+        # one image dropped or the weights of two entries exchanged
+        n = rng.randint(1, 4)
+        halves = [F(0), F(1, 2), F(1)]
+        boxes = []
+        for w in rng.sample(range(1, 5), rng.randint(1, 2)):
+            ivs = [tuple(sorted(rng.sample(halves, 2))) for _ in range(n)]
+            images = {tuple(ivs[k] for k in p) for p in itertools.permutations(range(n))}
+            boxes += [(tuple(a for a, _ in im), tuple(c for _, c in im), F(w)) for im in sorted(images)]
+        if case == "image removed":
+            boxes.pop(rng.randrange(len(boxes)))
+        elif case == "weights swapped" and len(boxes) > 1:
+            j, k = rng.sample(range(len(boxes)), 2)
+            boxes[j], boxes[k] = (*boxes[j][:2], boxes[k][2]), (*boxes[k][:2], boxes[j][2])
+        prior = BoxDensity(n, boxes)
+        assert prior.permutation_symmetric == ref_permutation_symmetric(prior)
+        if case == "symmetric":
+            assert prior.permutation_symmetric
+
+    def test_closed_under_one_swap_only_is_not_symmetric(self):
+        # {A, A with coordinates 0 and 1 swapped}: closed under (0 1), not (1 2)
+        a = ((F(0), F(1, 4), F(1, 2)), (F(1, 4), F(1, 2), F(1)), F(1))
+        b = ((F(1, 4), F(0), F(1, 2)), (F(1, 2), F(1, 4), F(1)), F(1))
+        prior = BoxDensity(3, [a, b])
+        assert not prior.permutation_symmetric
+        assert not ref_permutation_symmetric(prior)

@@ -13,6 +13,9 @@ from fpaeq.engine import (
     win_prob_dfpa,
 )
 from fpaeq.model import (
+    Auction,
+    BidSpace,
+    DiscretePrior,
     JumpStrategy,
     Profile,
     validate_instance,
@@ -536,3 +539,20 @@ class TestProject:
             from fpaeq.engine import check_monotone
 
             assert check_monotone(s)
+
+    def test_lift_solve_project_one_group(self):
+        # the correlated two-point prior of apv_fixture as one group: the lift
+        # keeps the group, the search runs per group, and the projection takes
+        # the group branch
+        lo, hi = F(1, 4), F(3, 4)
+        support = [((hi, hi), F(3, 8)), ((hi, lo), F(1, 8)), ((lo, lo), F(3, 8))]
+        dfpa = Auction(BidSpace([0, lo]), DiscretePrior(2, [(lo, hi)] * 2, support, [(0, 1)]))
+        assert dfpa.kind == "dfpa-sym" and validate_instance(dfpa).ok
+        lifted = lift_dfpa_to_cfpa(dfpa, F(1, 2))
+        result = jump_grid_search(lifted.cfpa, SearchConfig(eps=ZERO, symmetric=True))
+        assert result.found and result.profile.groups == ((0, 1),)
+        mixed = project_strategy(result.profile, lifted.dfpa, lifted.delta)
+        assert mixed.groups == ((0, 1),) and len(mixed.strategies) == 1
+        assert verify_mbne(lifted.dfpa, mixed, lifted.delta).ok  # eps + delta
+        per_seat = project_strategy(result.profile.expand(2), lifted.dfpa, lifted.delta)
+        assert per_seat.strategies[0].table == mixed.strategies[0].table
