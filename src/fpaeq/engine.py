@@ -10,13 +10,14 @@ probability is ``sum_r T[r] / (r+1)``, including the all-zero tie at b = 0.
 The fast path computes one interim vector per (bidder i, value v): f_i(v) and
 the win probability ``H(b)`` for every bid at once, in three pieces:
 
-* scenarios -- one generator per prior kind (explicit discrete, group-succinct
-  discrete with its arrangement counts, boxes, grouped boxes, iid) yields, for
-  bidder i at value v, ``f_i(v)``, a denominator D and the ``(mass * D,
-  opponents)`` of every conditional scenario.  Discrete supports are indexed
-  once per prior: integer masses over one D, opponents as (seat, value id).
-  Other opponents are (group, value), (seat, interval) or, for an iid
-  marginal, its n-1 other seats, each averaged over the whole marginal.
+* scenarios -- one generator per prior kind (discrete, boxes, iid) yields,
+  for bidder i at value v, ``f_i(v)``, a denominator D and the ``(mass * D,
+  opponents)`` of every conditional scenario.  A grouped prior is evaluated
+  on its cached expansion: a discrete one through its index, a box list
+  through its expanded boxes.  Discrete supports are indexed once per prior:
+  integer masses over one D, opponents as (seat, value id).  Other opponents
+  are (seat, interval) or, for an iid marginal, its n-1 other seats, each
+  averaged over the whole marginal.
 * bid table -- per profile, each opponent's tie mass g and strictly-below
   mass G for every bid, built on first use and shared by all scenarios and
   by the seats that hold one strategy object.
@@ -34,9 +35,10 @@ vector.  Verification runs :func:`bidder_deviations`, one deviation loop per
 each orbit: seats that are exchangeable under the prior (those of an iid prior,
 of a permutation-symmetric box list or of one group) and play equal strategies.
 Its records are compared once and reported for every seat of the orbit, in seat
-order; ``verify_pbne`` runs it to the end and ``is_pbne`` stops at the first
-violation.  The search runs it per bidder against games it shares between
-candidates with the same opponents.
+order.  A per-group profile on a grouped prior reports under each group's first
+seat only, in the prior's group order.  ``verify_pbne`` runs the loop to the
+end and ``is_pbne`` stops at the first violation.  The search runs it per
+bidder against games it shares between candidates with the same opponents.
 
 Utilities come in two normalizations:
 
@@ -53,7 +55,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial
 from typing import Sequence, Union
 
 from .model import (
@@ -67,7 +68,6 @@ from .model import (
     MixedStrategy,
     Profile,
     PureStrategy,
-    group_blocks,
     marginal_mass,
     rat,
     support_values,
@@ -135,14 +135,6 @@ def _mixed_row(strategy, value: Fraction) -> dict[Fraction, Fraction]:
     raise TypeError(f"need a pure or mixed strategy, got {type(strategy).__name__}")
 
 
-def _arrangements(block: tuple) -> int:
-    """Distinct orderings of a multiset."""
-    m = factorial(len(block))
-    for v in set(block):
-        m //= factorial(block.count(v))
-    return m
-
-
 # ---------------------------------------------------------------------------
 # scenarios: f_i(v), D and the (mass * D, opponents) of every scenario
 # ---------------------------------------------------------------------------
@@ -152,43 +144,6 @@ def _discrete_scenarios(prior: DiscretePrior, i: int, v: Fraction):
     (bidder, value id)."""
     fi, scenarios = prior.index.by_value[i].get(v, (ZERO, ()))
     return fi, prior.index.den, scenarios
-
-
-def _group_of(groups, i: int) -> int:
-    for k, members in enumerate(groups):
-        if i in members:
-            return k
-    raise IndexError(f"bidder {i} not in any group")
-
-
-def _group_scenarios(prior: DiscretePrior, i: int, v: Fraction):
-    """Canonical tuples holding v in bidder i's group; opponents are
-    (group, value)."""
-    k = _group_of(prior.groups, i)
-    fi = ZERO
-    scenarios = []
-    for tup, p in prior.support:
-        blocks = group_blocks(tup, prior.groups)
-        if v in blocks[k]:
-            cnt, opponents = _others(blocks, k, v)
-            fi += p * cnt
-            scenarios.append((p * cnt, opponents))
-    return fi, 1, scenarios
-
-
-def _others(blocks: list, k: int, own):
-    """Take one ``own`` out of block k.  Returns the number of group-valid
-    permutations that place ``own`` at one fixed slot of group k (the
-    arrangement number of the remaining multisets, blockwise) and the
-    remaining entries as (group, entry)."""
-    rest = list(blocks)
-    reduced = list(rest[k])
-    reduced.remove(own)
-    rest[k] = tuple(reduced)
-    cnt = 1
-    for block in rest:
-        cnt *= _arrangements(block)
-    return cnt, tuple((g, x) for g, block in enumerate(rest) for x in block)
 
 
 def _box_scenarios(prior: BoxDensity, i: int, v: Fraction):
@@ -205,24 +160,6 @@ def _box_scenarios(prior: BoxDensity, i: int, v: Fraction):
         if mass is not None:
             fi += mass
             scenarios.append((mass, opponents))
-    return fi, 1, scenarios
-
-
-def _grouped_box_scenarios(prior: BoxDensity, i: int, v: Fraction):
-    """Canonical boxes with each distinct interval of bidder i's group that
-    holds v; opponents are (group, interval)."""
-    k = _group_of(prior.groups, i)
-    fi = ZERO
-    scenarios = []
-    for lo, hi, w in prior.boxes:
-        blocks = group_blocks(tuple(zip(lo, hi)), prior.groups)
-        for own in sorted(set(blocks[k])):
-            if own[0] <= v <= own[1]:
-                cnt, opponents = _others(blocks, k, own)
-                mass = _box_mass(w * cnt, opponents)
-                if mass is not None:
-                    fi += mass
-                    scenarios.append((mass, opponents))
     return fi, 1, scenarios
 
 
@@ -350,28 +287,19 @@ def _win_masses(scenarios, table: _BidTable, nbids: int) -> list[Fraction]:
 
 class _Game:
     """An auction and a profile: the scenario generator of the prior's kind,
-    one bid table over ``bids`` and the vectors per (bidder, value).
-
-    ``succinct`` -- a per-group profile on a grouped prior -- selects the
-    group-succinct generators, which read the profile's strategies per
-    group; otherwise opponents are per bidder.
-    """
+    one bid table over ``bids`` and the vectors per (bidder, value).  Every
+    seat's strategy is read through ``profile.for_bidder``; a grouped prior
+    is evaluated on its cached expansion."""
 
     def __init__(self, auction: Auction, profile: Profile, bids=None):
         prior = auction.prior
         self.bids = tuple(auction.bids if bids is None else bids)
         self._memo: dict = {}
         self._iid = isinstance(prior, IIDMarginal)
-        self.succinct = profile.groups is not None and getattr(prior, "groups", None) is not None
-        seat = profile.strategies.__getitem__ if self.succinct else profile.for_bidder
         if auction.is_discrete:
-            if self.succinct:
-                self._scenarios = _group_scenarios
-                masses = partial(_discrete_masses, self.bids)
-            else:
-                self._scenarios = _discrete_scenarios
-                bids, values = self.bids, prior.index.values
-                masses = lambda s, vid: _discrete_masses(bids, s, values[vid])  # noqa: E731
+            self._scenarios = _discrete_scenarios
+            bids, values = self.bids, prior.index.values
+            masses = lambda s, vid: _discrete_masses(bids, s, values[vid])  # noqa: E731
             self.pieces = None
         else:
             positions = [auction.bids.index(b) for b in self.bids]
@@ -379,14 +307,14 @@ class _Game:
                 self._scenarios = partial(_iid_scenarios, auction.n)
                 masses = partial(_iid_masses, positions, prior.pieces)
             elif isinstance(prior, BoxDensity):
-                self._scenarios = _grouped_box_scenarios if self.succinct else _box_scenarios
+                self._scenarios = _box_scenarios
                 masses = partial(_jump_masses, positions)
             else:
                 raise TypeError(f"unsupported prior {type(prior).__name__}")
             # H is constant while v stays inside one piece of the axis cuts
             self.pieces = [prior.axis_breakpoints(i) for i in range(auction.n)]
         self.prior = prior
-        self._table = _BidTable(seat, masses)
+        self._table = _BidTable(profile.for_bidder, masses)
 
     def vector(self, i: int, v: Fraction):
         """(f_i(v), [H_i(b; v) for b in bids]), memoised per (bidder, value)
@@ -604,11 +532,16 @@ def _orbits(auction: Auction, profile: Profile) -> list[list[int]]:
 
 
 def _deviations(auction: Auction, profile: Profile):
-    """(seats, records) per orbit, or per group's first seat for a per-group
-    profile on a grouped prior, against one game of the profile."""
+    """(seats, records) per orbit against one game of the profile.  A
+    per-group profile on a grouped prior reports its records under each
+    group's first seat only, in the prior's group order."""
     game = _Game(auction, profile)
-    succinct = [[g[0]] for g in auction.prior.groups] if game.succinct else None
-    for seats in succinct or _orbits(auction, profile):
+    groups = getattr(auction.prior, "groups", None)
+    if profile.symmetric and groups is not None:
+        orbits = [[g[0]] for g in groups]
+    else:
+        orbits = _orbits(auction, profile)
+    for seats in orbits:
         yield seats, bidder_deviations(auction, game, seats[0], profile.for_bidder(seats[0]))
 
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -382,9 +382,10 @@ class Auction:
 
 @dataclass(frozen=True)
 class PureStrategy:
-    """Total map from a bidder's values to bids."""
+    """Total map from a bidder's values to bids.  ``bidder`` labels the
+    strategy in files and is not compared: equal maps are equal strategies."""
 
-    bidder: int
+    bidder: int = field(compare=False)
     mapping: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, bidder: int, mapping):
@@ -410,9 +411,10 @@ class PureStrategy:
 
 @dataclass(frozen=True)
 class MixedStrategy:
-    """Value -> distribution over bids, one row per value."""
+    """Value -> distribution over bids, one row per value; ``bidder`` is not
+    compared, as on :class:`PureStrategy`."""
 
-    bidder: int
+    bidder: int = field(compare=False)
     table: tuple[tuple[Fraction, tuple[tuple[Fraction, Fraction], ...]], ...]
 
     def __init__(self, bidder: int, table):
@@ -540,14 +542,23 @@ def multiplicity(tup: Sequence, groups: Sequence[Sequence[int]]) -> int:
     return m
 
 
+def _orderings(items: list) -> Iterator[tuple]:
+    """Distinct orderings of a sorted multiset, in lexicographic order: each
+    distinct entry in turn, then the orderings of the rest."""
+    if not items:
+        yield ()
+    for k, x in enumerate(items):
+        if k == 0 or items[k - 1] != x:
+            for rest in _orderings(items[:k] + items[k + 1:]):
+                yield (x, *rest)
+
+
 def distinct_group_arrangements(
     tup: Sequence, groups: Sequence[Sequence[int]]
 ) -> list[tuple]:
-    """All distinct tuples reachable by permuting entries within groups."""
-    block_arrangements = []
-    for g in groups:
-        block = [tup[i] for i in g]
-        block_arrangements.append(sorted(set(itertools.permutations(block))))
+    """All distinct tuples reachable by permuting entries within groups,
+    sorted.  Groups partition the seats, so the combinations are distinct."""
+    block_arrangements = [list(_orderings(sorted(tup[i] for i in g))) for g in groups]
     out = []
     for combo in itertools.product(*block_arrangements):
         arranged = list(tup)
@@ -555,7 +566,7 @@ def distinct_group_arrangements(
             for pos, i in enumerate(g):
                 arranged[i] = block[pos]
         out.append(tuple(arranged))
-    return sorted(set(out))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

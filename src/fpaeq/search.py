@@ -216,7 +216,8 @@ def enumerate_pure_equilibria(
 def enumerate_symmetric_pure(
     auction: Auction, cfg: SearchConfig, log: IO[str] | None = None
 ) -> SearchResult:
-    """Symmetric search: one strategy per group, verified succinctly."""
+    """Symmetric search: one strategy per group, each candidate verified on
+    the prior's expansion at each group's first seat."""
     prior = auction.prior
     if not isinstance(prior, DiscretePrior) or prior.groups is None:
         raise TypeError("symmetric enumeration needs a grouped DiscretePrior")

@@ -10,8 +10,10 @@ searches as the per-candidate walk that verifies every candidate afresh, the
 reference for the search module's shared deviation tables, and the beta
 bisection as the Fraction loop, the reference for the integer-only one.
 Verification is also kept seat by seat, the reference for the engine's one
-seat per orbit, and the symmetry of a box list as its n! images, the
-reference for the adjacent-transposition check.
+seat per orbit, the symmetry of a box list as its n! images, the
+reference for the adjacent-transposition check, and a grouped prior's
+arrangements as the distinct permutations of each block, the reference for
+the model's multiset orderings.
 """
 
 from __future__ import annotations
@@ -461,3 +463,21 @@ def per_seat_report(auction: Auction, profile: Profile, eps) -> VerificationRepo
             if record[-1] > eps:
                 violations.append(Violation(*record))
     return VerificationReport(not violations, eps, max_gain, tuple(violations))
+
+
+def ref_distinct_group_arrangements(tup, groups) -> list[tuple]:
+    """All distinct tuples reachable by permuting entries within groups, from
+    every permutation of each block: the reference for
+    ``model.distinct_group_arrangements``."""
+    block_arrangements = []
+    for g in groups:
+        block = [tup[i] for i in g]
+        block_arrangements.append(sorted(set(itertools.permutations(block))))
+    out = []
+    for combo in itertools.product(*block_arrangements):
+        arranged = list(tup)
+        for g, block in zip(groups, combo):
+            for pos, i in enumerate(g):
+                arranged[i] = block[pos]
+        out.append(tuple(arranged))
+    return sorted(set(out))

@@ -632,6 +632,16 @@ class TestGoldenReports:
         for path, name in ((found, "sym3_found.json"), (lifted, "sym3_lifted.json")):
             assert path.read_text(encoding="utf-8") == (GOLDEN / name).read_text(encoding="utf-8")
 
+    def test_per_group_profile_verbs(self, capsys, tmp_path):
+        """verify, utility and best-response with per-group profiles on the
+        SYM3 prior listed with groups ((2,), (0, 1)), and on its lift to
+        cfpa-box, print the transcript in sym3_per_group.stdout, captured at
+        d252b6b.  Violations are reported under each group's first seat, in
+        the prior's group order: seat 2 before seat 0."""
+        transcript = per_group_transcript(lambda argv: run(capsys, *argv)[:2], tmp_path)
+        expected = (GOLDEN / "sym3_per_group.stdout").read_text(encoding="utf-8")
+        assert transcript == expected
+
 
 SYM3 = {
     "kind": "dfpa-sym",
@@ -645,6 +655,76 @@ SYM3 = {
         {"values": ["1/4", "1/4", "1/2"], "probability": "1/4"},
     ],
 }
+
+# SYM3 with its groups listed out of seat order
+SYM3_REORDERED = {
+    **SYM3,
+    "groups": [[2], [0, 1]],
+    "group_values": [["1/2", "1"], ["1/4", "3/4"]],
+}
+
+
+def _pure(bidder, pairs):
+    assignments = [{"value": v, "bid": b} for v, b in pairs]
+    return {"kind": "pure", "bidder": bidder, "assignments": assignments}
+
+
+def _mixed(bidder, rows):
+    rows = [
+        {"value": v, "distribution": [{"bid": b, "weight": w} for b, w in dist]}
+        for v, dist in rows
+    ]
+    return {"kind": "mixed", "bidder": bidder, "rows": rows}
+
+
+def _jump(thresholds):
+    return {"kind": "jump", "bids": SYM3["bids"], "thresholds": thresholds}
+
+
+PER_GROUP_PROFILES = {
+    "pure": [_pure(0, [("1/2", "1/4"), ("1", "1/2")]), _pure(1, [("1/4", "0"), ("3/4", "1/4")])],
+    "mixed": [
+        _mixed(0, [("1/2", [("0", "1/2"), ("1/4", "1/2")]), ("1", [("1/2", "1")])]),
+        _mixed(1, [("1/4", [("0", "1")]), ("3/4", [("0", "1/3"), ("1/2", "2/3")])]),
+    ],
+    "jump": [_jump(["0", "1/2", "3/4", "1"]), _jump(["0", "1/4", "1", "1"])],
+}
+
+
+def per_group_transcript(call, d: Path) -> str:
+    """Write SYM3_REORDERED and the per-group profiles under ``d``, run each
+    step through ``call(argv) -> (exit code, stdout)`` and return the
+    transcript, with ``d`` shown as ``.``."""
+    inst, lifted = d / "sym3r.json", d / "lifted.json"
+    inst.write_text(json.dumps(SYM3_REORDERED))
+    prof = {}
+    for name, strategies in PER_GROUP_PROFILES.items():
+        prof[name] = d / f"{name}.json"
+        doc = {"kind": "profile", "groups": SYM3_REORDERED["groups"], "strategies": strategies}
+        prof[name].write_text(json.dumps(doc))
+    steps = [
+        ["verify", "--instance", inst, "--profile", prof["pure"]],
+        ["verify", "--instance", inst, "--profile", prof["mixed"], "--eps", "1/50"],
+        ["utility", "--instance", inst, "--bidder", 1, "--value", "3/4", "--bid", "1/4",
+         "--profile", prof["pure"]],
+        ["utility", "--instance", inst, "--bidder", 2, "--value", "1", "--bid", "1/4",
+         "--profile", prof["mixed"], "--raw"],
+        ["best-response", "--instance", inst, "--bidder", 1, "--value", "3/4",
+         "--profile", prof["pure"]],
+        ["best-response", "--instance", inst, "--bidder", 2, "--value", "1/2",
+         "--profile", prof["mixed"]],
+        ["lift", "--instance", inst, "--delta", "1/8", "--out", lifted],
+        ["verify", "--instance", lifted, "--profile", prof["jump"]],
+        ["utility", "--instance", lifted, "--bidder", 1, "--value", "181/256", "--bid", "1/4",
+         "--profile", prof["jump"]],
+        ["best-response", "--instance", lifted, "--bidder", 2, "--value", "241/256",
+         "--profile", prof["jump"]],
+    ]
+    transcript = ""
+    for argv in steps:
+        code, out = call([str(a) for a in argv])
+        transcript += f"$ {' '.join(map(str, argv)).replace(str(d), '.')}\n{out}exit {code}\n"
+    return transcript
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from fpaeq.engine import (
     VerificationReport,
     _Game,
     _kind,
+    _orbits,
     _win_masses,
     best_response,
     check_affiliation,
@@ -38,6 +39,7 @@ from fpaeq.model import (
     support_values,
 )
 from fpaeq.search import default_jump_grid
+from fpaeq.serialize import instance_from_doc, profile_from_doc
 from conftest import (
     nested_cube_sapv,
     random_apv_auction,
@@ -53,6 +55,7 @@ from oracles import (
     per_seat_report,
     rect_utility_cfpa,
 )
+from test_cli import SYM3
 
 F = Fraction
 
@@ -849,12 +852,13 @@ def _canonical(tup, groups):
     return tuple(out)
 
 
-def _orbit_boxes(rng, kind):
+def _orbit_boxes(rng, kind, groups=None):
     """(box prior, seat classes to share strategies over).  ``grouped``: a
-    grouped prior, interleaved groups included; ``symmetric``: the expansion
-    of a one-group prior; ``asymmetric``: that expansion with one image
-    dropped or the weights of two entries swapped."""
-    groups = rng.choice(ORBIT_GROUPS) if kind == "grouped" else (tuple(range(rng.randint(2, 3))),)
+    grouped prior, interleaved groups included, or on ``groups``;
+    ``symmetric``: the expansion of a one-group prior; ``asymmetric``: that
+    expansion with one image dropped or the weights of two entries swapped."""
+    if groups is None:
+        groups = rng.choice(ORBIT_GROUPS) if kind == "grouped" else (tuple(range(rng.randint(2, 3))),)
     n = max(i for g in groups for i in g) + 1
     quarters = [F(k, 4) for k in range(5)]
     boxes = []
@@ -876,9 +880,9 @@ def _orbit_boxes(rng, kind):
     return prior, groups
 
 
-def _orbit_discrete(rng):
-    """A grouped discrete prior, interleaved groups included."""
-    groups = rng.choice(ORBIT_GROUPS + [((0, 2), (1, 3))])
+def _orbit_discrete(rng, groups=None):
+    """A grouped discrete prior, interleaved groups included, or on ``groups``."""
+    groups = groups or rng.choice(ORBIT_GROUPS + [((0, 2), (1, 3))])
     n = max(i for g in groups for i in g) + 1
     eighths = [F(k, 8) for k in range(9)]
     values = [tuple(sorted(rng.sample(eighths, rng.randint(1, 2)))) for _ in groups]
@@ -964,3 +968,66 @@ class TestOrbits:
         s = JumpStrategy(bids, [0, F(1, 2), F(3, 4), 1])
         auc = Auction(BidSpace(bids), BoxDensity(2, [(lo, hi, w * 4 / 3) for lo, hi, w in prior.boxes]))
         assert verify_pbne(auc, Profile([s, s]), 0) == per_seat_report(auc, Profile([s, s]), 0)
+
+    def test_equal_maps_under_own_seat_numbers_form_an_orbit(self):
+        """Seats 0 and 1 of the SYM3 dfpa-sym instance, loaded as files hold
+        them, play equal maps labelled with their own seat numbers: one orbit."""
+        auc = instance_from_doc(SYM3)
+        low = [{"value": "1/4", "bid": "0"}, {"value": "3/4", "bid": "1/4"}]
+        top = [{"value": "1/2", "bid": "1/4"}, {"value": "1", "bid": "1/4"}]
+        strategies = [
+            {"kind": "pure", "bidder": i, "assignments": pairs}
+            for i, pairs in enumerate((low, low, top))
+        ]
+        profile = profile_from_doc({"kind": "profile", "strategies": strategies})
+        assert profile.strategies[0].bidder == 0 and profile.strategies[1].bidder == 1
+        assert _orbits(auc, profile) == [[0, 1], [2]]
+        assert verify_pbne(auc, profile, 0) == per_seat_report(auc, profile, 0)
+
+
+# ---------------------------------------------------------------------------
+# per-group profiles on grouped priors
+# ---------------------------------------------------------------------------
+
+# seat order and out of it; interleaved
+PER_GROUP_LAYOUTS = [
+    ((0, 1), (2,)), ((2,), (0, 1)), ((1,), (0, 2)), ((0, 2), (1,)), ((1, 2), (0,)),
+    ((0, 1, 2),), ((2, 3), (0, 1)), ((1, 3), (0, 2)),
+]
+
+
+def _per_group_case(rng, kind, mixed):
+    """(auction, per-group profile) on a grouped prior of ``kind``."""
+    groups = rng.choice(PER_GROUP_LAYOUTS)
+    if kind == "discrete":
+        prior = _orbit_discrete(rng, groups)
+        bids = [F(0)] + sorted(rng.sample([F(k, 9) for k in range(1, 10)], 2))
+        make = _random_mixed if mixed else _random_pure
+        strategies = [make(rng, k, prior.value_spaces[g[0]], bids) for k, g in enumerate(groups)]
+    else:
+        prior, _ = _orbit_boxes(rng, "grouped", groups)
+        bids = [F(0)] + sorted(rng.sample([F(k, 8) for k in range(1, 8)], 2))
+        strategies = [_random_jump(rng, bids) for _ in groups]
+    return Auction(BidSpace(bids), prior), Profile(strategies, groups)
+
+
+class TestPerGroupReport:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rng=st.randoms(use_true_random=True),
+        kind=st.sampled_from(["discrete", "boxes"]),
+        mixed=st.booleans(),
+        eps=st.sampled_from([F(0), F(1, 20)]),
+    )
+    def test_reports_each_groups_first_seat_in_group_order(self, rng, kind, mixed, eps):
+        """The per-seat report of the expanded profile, restricted to each
+        group's first seat and taken in the prior's group order."""
+        mixed = mixed and kind == "discrete"
+        auc, profile = _per_group_case(rng, kind, mixed)
+        full = per_seat_report(auc, profile.expand(auc.n), eps)
+        kept = tuple(x for g in auc.prior.groups for x in full.violations if x.bidder == g[0])
+        report = (verify_mbne if mixed else verify_pbne)(auc, profile, eps)
+        assert report == VerificationReport(full.ok, eps, full.max_gain, kept)
+        assert full.ok == (not kept)
+        if not mixed:
+            assert is_pbne(auc, profile, eps) == report.ok

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from fpaeq.model import (
     Profile,
     PureStrategy,
     conditional,
+    distinct_group_arrangements,
     marginal,
     marginal_mass,
     multiplicity,
@@ -26,7 +28,7 @@ from fpaeq.model import (
     validate_strategy,
 )
 from conftest import random_discrete_auction, random_symmetric_auction
-from oracles import ref_permutation_symmetric
+from oracles import ref_distinct_group_arrangements, ref_permutation_symmetric
 
 F = Fraction
 Q, H, G = F(1, 4), F(3, 4), [(0, 1)]
@@ -289,6 +291,36 @@ class TestSymmetric:
     def test_multiplicity_rejects_noncanonical(self):
         with pytest.raises(ValueError):
             multiplicity((F(1, 4), F(1, 2)), [(0, 1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), intervals=st.booleans())
+    def test_arrangements_match_every_permutation(self, rng, intervals):
+        """Random layouts of up to 8 seats in blocks of at most 5, listed in
+        any seat order, over a pool of 1-3 entries, so entries repeat."""
+        n = rng.randint(1, 8)
+        seats = rng.sample(range(n), n)
+        groups = []
+        while seats:
+            k = rng.randint(1, min(5, len(seats)))
+            groups.append(tuple(seats[:k]))
+            seats = seats[k:]
+        rng.shuffle(groups)
+        pool = [F(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 3))]
+        if intervals:
+            pool = [(a, a + F(rng.randint(0, 2), 4)) for a in pool]
+        tup = tuple(rng.choice(pool) for _ in range(n))
+        assert distinct_group_arrangements(tup, groups) == ref_distinct_group_arrangements(
+            tup, groups
+        )
+
+    @pytest.mark.parametrize("counts", [(3, 3, 2), (6, 1, 1), (4, 2, 2)])
+    def test_arrangement_count_of_one_block(self, counts):
+        """One 8-seat block holding 3 distinct values a, b, c times:
+        8! / (a! b! c!) orderings, none repeated."""
+        tup = tuple(v for v, c in zip((F(1), F(1, 2), F(0)), counts) for _ in range(c))
+        out = distinct_group_arrangements(tup, [tuple(range(8))])
+        a, b, c = map(math.factorial, counts)
+        assert len(set(out)) == len(out) == math.factorial(8) // (a * b * c)
 
 
 class TestStrategies:
