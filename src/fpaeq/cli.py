@@ -17,6 +17,7 @@ Failures also emit one machine-readable JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -40,7 +41,6 @@ from .model import (
     validate_strategy,
 )
 from .serialize import (
-    FormatError,
     dumps,
     fmt,
     load_document,
@@ -76,7 +76,7 @@ def _fraction(text: str) -> Fraction:
         )
     try:
         return rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -96,12 +96,10 @@ def _int_at_least(low: int):
 
 
 def _load(loader, path: str):
-    """``loader(path)`` with I/O and parse failures mapped to their exit codes."""
+    """``loader(path)`` with a parse failure named by the path it came from."""
     try:
         return loader(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
-    except (FormatError, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # FormatError and json.JSONDecodeError among them
         raise CliError(EXIT_PARSE, "parse", f"{path}: {exc}")
 
 
@@ -147,20 +145,9 @@ def _bidder(auction: Auction, i: int, value: Fraction | None = None) -> int:
     return i
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
-
-
 def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{path}: {exc.strerror or exc}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _violations_doc(report: engine.VerificationReport) -> dict:
@@ -265,15 +252,9 @@ def _emit_search(result: search.SearchResult, out: str | None) -> int:
 
 def _search(args, run) -> int:
     """``run(log)`` with the --log file, if any, open; then emit the result."""
-    try:
-        log = open(args.log, "w", encoding="utf-8") if args.log else None
-    except OSError as exc:
-        raise CliError(EXIT_IO, "io", f"{args.log}: {exc.strerror or exc}")
-    try:
+    log_file = open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext()
+    with log_file as log:
         result = run(log)
-    finally:
-        if log:
-            log.close()
     return _emit_search(result, args.out)
 
 
@@ -312,7 +293,8 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_from_sat(args) -> int:
-    text = _read_text(args.cnf)
+    with open(args.cnf, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         formula = reduction.parse_sat(text)
         auction, rmap = reduction.build_auction(formula)
@@ -402,10 +384,7 @@ def cmd_project(args) -> int:
 
 def cmd_densify(args) -> int:
     auction = _load_instance(args, CONTINUOUS)
-    try:
-        cert = densify_mod.densify_solve(auction, args.eps)
-    except densify_mod.UnsupportedPrior as exc:
-        raise CliError(EXIT_VALIDATION, "unsupported", str(exc))
+    cert = densify_mod.densify_solve(auction, args.eps)
     if args.out_strategy:
         _write_text(args.out_strategy, dumps(strategy_to_doc(cert.strategy)))
     cert_doc = {
@@ -577,22 +556,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fail(code: int, kind: str, detail: str, **extra) -> int:
+    sys.stderr.write(json.dumps({"error": kind, "detail": detail, **extra}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one verb; whatever it raises ends here, as an exit code and one
+    JSON record on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:
-        sys.stderr.write(json.dumps({"error": exc.kind, "detail": exc.detail}) + "\n")
-        return exc.code
+        return _fail(exc.code, exc.kind, exc.detail)
+    except OSError as exc:
+        if exc.filename is None:
+            return _fail(EXIT_IO, "io", str(exc))
+        return _fail(EXIT_IO, "io", f"{exc.filename}: {exc.strerror}")
     except search.BudgetExceeded as exc:
-        sys.stderr.write(
-            json.dumps({"error": "budget", "detail": str(exc), "count": exc.count})
-            + "\n"
-        )
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, "budget", str(exc), count=exc.count)
+    except densify_mod.UnsupportedPrior as exc:  # a ValueError: caught before that arm
+        return _fail(EXIT_VALIDATION, "unsupported", str(exc))
     except (ValueError, TypeError) as exc:
-        sys.stderr.write(json.dumps({"error": "invalid", "detail": str(exc)}) + "\n")
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, "invalid", str(exc))
 
 
 if __name__ == "__main__":

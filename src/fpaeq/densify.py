@@ -287,17 +287,6 @@ def canonical_beta(auction: Auction) -> CanonicalBeta:
     raise TypeError("canonical equilibrium applies to continuous instances")
 
 
-def eval_beta_sapv(boxes: BoxDensity, x) -> Fraction:
-    """Exact canonical-equilibrium bid at x for a full-support symmetric box prior."""
-    return _sapv_beta(boxes)(x)
-
-
-def eval_beta_iid(marg: IIDMarginal, n: int, x) -> Fraction:
-    """Exact canonical-equilibrium bid for n iid bidders; values outside the
-    support evaluate at the last support point before x."""
-    return _iid_beta(marg, n)(x)
-
-
 def eval_beta(auction: Auction, x) -> Fraction:
     return canonical_beta(auction)(x)
 
@@ -348,34 +337,20 @@ def _sapv_density_range(prior: BoxDensity) -> tuple[Fraction, Fraction]:
     return min(densities), max(densities)
 
 
-def lipschitz_bound(auction: Auction) -> Fraction:
-    """Upper bound on the canonical bidding function's derivative."""
+def bounds_profile(auction: Auction) -> BoundsProfile:
     prior = auction.prior
     n = auction.n
     if isinstance(prior, IIDMarginal):
         a, p = prior.breakpoints, prior.densities
         pos = [q for q in p if q > 0]
         gaps = [a[j + 1] - a[j] for j in range(len(p))]
-        return n * (max(gaps) / min(gaps)) * (max(pos) / min(pos))
-    if isinstance(prior, BoxDensity):
-        phi_lo, phi_hi = _sapv_density_range(prior)
-        if phi_lo <= 0:
-            raise UnsupportedPrior("Lipschitz bound needs a full-support prior")
-        return (n - 1) * phi_hi / phi_lo
-    raise TypeError("continuous instances only")
-
-
-def bounds_profile(auction: Auction) -> BoundsProfile:
-    prior = auction.prior
-    n = auction.n
-    if isinstance(prior, IIDMarginal):
-        phi_hi = max(prior.densities)
+        phi_hi = max(p)
         return BoundsProfile(
             mode="iid",
             phi_lo=None,
             phi_hi=phi_hi,
             gamma=n * phi_hi,
-            lipschitz=lipschitz_bound(auction),
+            lipschitz=n * (max(gaps) / min(gaps)) * (max(pos) / min(pos)),
             v_lo=prior.support_left,
             delta=bid_denseness(auction),
         )

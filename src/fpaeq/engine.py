@@ -466,9 +466,7 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy):
     deviation of bidder i playing ``strategy``, value by value.  ``game``
     holds the opponents; bidder i's own seat in it is never read.
 
-    DFPA: one record per value of positive marginal mass, against all bids;
-    ``strategy=None`` yields one record per (value, bid) instead, the gain of
-    playing that bid there.
+    DFPA: one record per value of positive marginal mass, against all bids.
     CFPA: jump strategies are checked cell by cell on the arrangement grid of
     box endpoints and jump thresholds; H is constant across an open cell and
     utilities are linear in v, so the supremum of a deviation gain over the
@@ -480,21 +478,17 @@ def bidder_deviations(auction: Auction, game: _Game, i: int, strategy):
         for v in support_values(auction.prior, i):
             _, H = game.vector(i, v)
             us = [(v - b) * h for b, h in zip(bids, H)]
-            if strategy is None:
-                rows = zip(((b,) for b in bids), us)
-            else:
-                played = _mixed_row(strategy, v)
-                current = ZERO
-                for b, w in played.items():
-                    if b not in position:
-                        raise ValueError(f"bid {b} at value {v} not in bid space")
-                    current += w * us[position[b]]
-                rows = [(tuple(sorted(b for b, w in played.items() if w > 0)), current)]
+            played = _mixed_row(strategy, v)
+            current = ZERO
+            for b, w in played.items():
+                if b not in position:
+                    raise ValueError(f"bid {b} at value {v} not in bid space")
+                current += w * us[position[b]]
             top = max(us)
-            top_bid = bids[us.index(top)]
-            for played_bids, current in rows:
-                best, best_bid = (top, top_bid) if top > current else (current, None)
-                yield i, v, played_bids, best_bid, best - current
+            gain = max(top - current, ZERO)
+            best_bid = bids[us.index(top)] if gain else None
+            played_bids = tuple(sorted(b for b, w in played.items() if w > 0))
+            yield i, v, played_bids, best_bid, gain
         return
     if not isinstance(strategy, JumpStrategy):
         raise TypeError("CFPA verification expects jump strategies")

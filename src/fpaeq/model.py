@@ -48,7 +48,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r}: zero denominator") from None
     raise TypeError(f"not an exact rational: {x!r} (floats are rejected)")
 
 
@@ -402,11 +405,6 @@ class PureStrategy:
 
     def bid_at(self, v: Fraction) -> Fraction:
         return self.as_dict[v]
-
-    def as_mixed(self) -> "MixedStrategy":
-        return MixedStrategy(
-            self.bidder, [(v, [(b, ONE)]) for v, b in self.mapping]
-        )
 
 
 @dataclass(frozen=True)

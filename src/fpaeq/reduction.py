@@ -184,12 +184,6 @@ def half_bound_chain() -> DeltaChain:
     return DeltaChain(d_not, d_proj, d_or1, d_or2, d_out)
 
 
-def default_deltas(formula: SatFormula) -> DeltaChain:
-    """Half-of-bound chain with total mass and eps threshold for the formula."""
-    _, rmap = build_auction(formula, half_bound_chain())
-    return rmap.chain
-
-
 # ---------------------------------------------------------------------------
 # roles and construction
 # ---------------------------------------------------------------------------
@@ -493,10 +487,12 @@ def map_to_doc(rmap: ReductionMap) -> dict:
 
 
 def map_from_doc(doc: dict) -> ReductionMap:
+    """The map in ``doc``, once it is the map ``build_auction`` gives for the
+    formula that its ``lit_consumers`` encode, under its own deltas."""
     if doc.get("kind") != "reduction-map":
         raise ValueError(f"expected reduction-map document, got {doc.get('kind')!r}")
     try:
-        return ReductionMap(
+        rmap = ReductionMap(
             roles=tuple(
                 Role(r["kind"], r["variable"], r["clause"], r["slot"])
                 for r in doc["roles"]
@@ -512,6 +508,14 @@ def map_from_doc(doc: dict) -> ReductionMap:
         )
     except KeyError as exc:
         raise FormatError(f"reduction-map document lacks field {exc.args[0]!r}") from None
+    clauses: dict = {}
+    for clause, lit, *_ in rmap.lit_consumers:
+        clauses.setdefault(clause, []).append(lit)
+    formula = SatFormula(len(rmap.var_hub), clauses.values())
+    chain = replace(rmap.chain, total=None, eps_threshold=None)
+    if build_auction(formula, chain)[1] != rmap:
+        raise FormatError("reduction-map document is not the map of the formula it encodes")
+    return rmap
 
 
 def chain_to_doc(chain: DeltaChain) -> dict:

@@ -194,7 +194,12 @@ def _table(auction: Auction, profile: Profile, i: int):
     game = engine._Game(auction, profile)
     if not auction.is_discrete:
         return game
-    return [record[-1] for record in engine.bidder_deviations(auction, game, i, None)]
+    gains = []
+    for v in support_values(auction.prior, i):
+        us = [(v - b) * h for b, h in zip(game.bids, game.vector(i, v)[1])]
+        top = max(us)
+        gains.extend(top - u for u in us)
+    return gains
 
 
 def enumerate_pure_equilibria(

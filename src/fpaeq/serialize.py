@@ -219,6 +219,8 @@ def strategy_from_doc(doc: dict):
 
 
 def _strategy_from_doc(doc: dict, rat):
+    if not isinstance(doc, dict):
+        raise FormatError(f"a strategy must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "pure":
         f = _take(doc, {"bidder": True, "assignments": True}, kind)
@@ -289,11 +291,6 @@ def save_instance(auction: Auction, path: str) -> None:
 
 def load_instance(path: str) -> Auction:
     return instance_from_doc(load_document(path))
-
-
-def save_strategy(strategy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(strategy_to_doc(strategy)))
 
 
 def load_strategy(path: str):

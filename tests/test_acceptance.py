@@ -12,8 +12,8 @@ from fractions import Fraction
 from fpaeq.densify import (
     DEFAULT_EPS,
     affiliation_L,
+    canonical_beta,
     densify_solve,
-    eval_beta_iid,
     max_order_cdf,
 )
 from fpaeq.engine import (
@@ -349,7 +349,7 @@ def test_criterion_5_densification():
         for k in range(1, 51):
             v = F(k, 50)
             closed_form = F(n - 1, n) * v
-            assert eval_beta_iid(uniform, n, v) == closed_form
+            assert canonical_beta(auction)(v) == closed_form
             bt = cert.strategy.bid_at(v)
             assert closed_form - (cert.bounds.delta + 2 * DEFAULT_EPS) <= bt <= closed_form
     report(5, "uniform iid n in {2,3}: claimed 2n(1/100 + 2^-39) covers the "

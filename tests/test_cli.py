@@ -1,8 +1,13 @@
+import copy
+import functools
 import json
+import operator
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fpaeq.cli import (
     EXIT_IO,
@@ -22,12 +27,16 @@ from fpaeq.model import (
     MixedStrategy,
     Profile,
     PureStrategy,
+    validate_instance,
 )
+from fpaeq.reduction import SatFormula, build_auction, encode_profile, map_to_doc
 from fpaeq.serialize import (
+    instance_from_doc,
     instance_to_doc,
     dumps,
     load_instance,
     load_profile,
+    profile_to_doc,
     save_instance,
     save_profile,
 )
@@ -760,3 +769,250 @@ class TestDeterminism:
         code, _, err = run(capsys, "validate", "--instance", "/nonexistent.json")
         assert code == 14
         assert json.loads(err)["error"] == "io"
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: every failure ends in main as a documented exit code
+# ---------------------------------------------------------------------------
+
+def _record(err: str) -> dict:
+    """The one JSON record that ``err`` holds."""
+    assert err.endswith("\n") and err.count("\n") == 1
+    record = json.loads(err)
+    assert isinstance(record["error"], str) and isinstance(record["detail"], str)
+    return record
+
+
+class TestOutputPaths:
+    """An output path in a missing directory is an I/O error, on every verb
+    that writes through the serializer."""
+
+    def test_each_writing_verb(self, capsys, tmp_path, apv_fixture):
+        inst, cnf, jump = tmp_path / "apv.json", tmp_path / "f.cnf", tmp_path / "jump.json"
+        rmap = tmp_path / "red"
+        save_instance(apv_fixture, str(inst))
+        cnf.write_text("p cnf 2 1\n1 -2 0\n")
+        assert run(capsys, "from-sat", cnf, "--out-prefix", rmap)[0] == EXIT_OK
+        thresholds = [F(0), F(1, 2), F(1)]
+        save_profile(Profile([JumpStrategy(apv_fixture.bids, thresholds)] * 2), str(jump))
+        missing = tmp_path / "missing"
+        cases = [
+            (["from-sat", cnf, "--out-prefix", missing / "red"], missing / "red.instance.json"),
+            (["encode", "--map", f"{rmap}.map.json", "--assignment", "1,0"], None),
+            (["shrink", "--instance", inst, "--target", "2"], None),
+            (["lift", "--instance", inst, "--delta", "1/8"], None),
+            (["project", "--instance", inst, "--profile", jump, "--delta", "1/8"], None),
+        ]
+        for argv, path in cases:
+            if path is None:
+                path = missing / f"{argv[0]}.json"
+                argv = [*argv, "--out", path]
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_IO and out == ""
+            assert _record(err) == {"error": "io", "detail": f"{path}: No such file or directory"}
+        assert not missing.exists()
+
+
+def test_search_over_budget(capsys, files):
+    _, inst, _ = files
+    code, out, err = run(capsys, "solve-pure", "--instance", inst, "--budget", "1")
+    assert code == EXIT_VALIDATION and out == ""
+    assert _record(err) == {
+        "error": "budget",
+        "detail": "search space of 4356 profiles exceeds budget 1",
+        "count": 4356,  # 1 * 6 * 11 non-overbidding maps per seat, squared
+    }
+
+
+def _box_doc(boxes, groups=None) -> dict:
+    doc = {"kind": "cfpa-box", "bids": ["0", "1/2"], "n": 2, "boxes": boxes}
+    if groups is not None:
+        doc["groups"] = groups
+    return doc
+
+
+def _box(lo, hi, weight="1") -> dict:
+    return {"lo": lo, "hi": hi, "weight": weight}
+
+
+def _iid_doc(breakpoints, densities) -> dict:
+    return {
+        "kind": "cfpa-iid",
+        "bids": ["0", "1/2"],
+        "n": 2,
+        "breakpoints": breakpoints,
+        "densities": densities,
+    }
+
+
+class TestContinuousValidationRules:
+    """Each rule of the box and iid instance checks, through
+    ``validate_instance`` and through a verb's exit 12."""
+
+    @pytest.mark.parametrize(
+        "doc, violation",
+        [
+            (_box_doc([_box(["0"], ["1"])]), "box[0]: arity != n=2"),
+            (
+                _box_doc([_box(["0", "0"], ["1", "1"], "2"), _box(["0", "0"], ["1", "1"], "-1")]),
+                "box[1]: negative weight -1",
+            ),
+            (
+                _box_doc([_box(["0", "0"], ["1/2", "1"], "2"), _box(["1/2", "0"], ["3/2", "1"])]),
+                "box[1]: interval [1/2,3/2] invalid in [0,1]",
+            ),
+            (
+                _box_doc(
+                    [_box(["0", "1/2"], ["1/2", "1"], "2"), _box(["1/2", "0"], ["1", "1/2"], "2")],
+                    [[0, 1]],
+                ),
+                "box[0]: intervals not canonical (non-increasing per group)",
+            ),
+            (_iid_doc(["0", "1/2"], ["2"]), "breakpoints must run from 0 to 1"),
+            (
+                _iid_doc(["0", "1/2", "1/2", "1"], ["1", "1", "1"]),
+                "breakpoints must be strictly increasing",
+            ),
+            (_iid_doc(["0", "1/2", "1"], ["1"]), "need one density per piece"),
+            (_iid_doc(["0", "1/2", "1"], ["3", "-1"]), "densities must be nonnegative"),
+        ],
+        ids=[
+            "box-arity", "box-negative-weight", "box-interval", "box-not-canonical",
+            "iid-ends", "iid-not-increasing", "iid-density-count", "iid-negative-density",
+        ],
+    )
+    def test_rule(self, capsys, tmp_path, doc, violation):
+        assert validate_instance(instance_from_doc(doc)).violations == (violation,)
+        inst = tmp_path / "bad.json"
+        inst.write_text(dumps(doc))
+        code, out, err = run(capsys, "densify", "--instance", inst)
+        assert code == EXIT_VALIDATION and out == ""
+        assert _record(err) == {"error": "validation", "detail": violation}
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside a JSON document, depth first."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+DROP = object()
+MUTATIONS = [DROP, None, 0, 3, 0.5, [], ["x"], {}, {"a": 1}, "x", "1/0"]
+
+
+def _mutated(doc, path, new):
+    """``doc`` with the value at ``path`` dropped or replaced by ``new``."""
+    doc = copy.deepcopy(doc)
+    *head, key = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if new is DROP:
+        del parent[key]
+    else:
+        parent[key] = new
+    return doc
+
+
+@pytest.fixture
+def fuzz_cases(tmp_path, apv_fixture, two_box_sapv):
+    """(document, argv) pairs: each argv reads the document from ``DOC``;
+    every other input file is written once, unmutated."""
+    apv = instance_to_doc(apv_fixture)
+    pure = {
+        "kind": "profile",
+        "strategies": [_pure(i, [("1/4", "0"), ("3/4", "1/4")]) for i in range(2)],
+    }
+    mixed = {
+        "kind": "profile",
+        "strategies": [
+            _mixed(i, [("1/4", [("0", "1")]), ("3/4", [("0", "1/2"), ("1/4", "1/2")])])
+            for i in range(2)
+        ],
+    }
+    grouped = {
+        "kind": "profile",
+        "groups": SYM3["groups"],
+        "strategies": [
+            _pure(0, [("1/4", "0"), ("3/4", "1/4")]),
+            _pure(2, [("1/2", "1/4"), ("1", "1/2")]),
+        ],
+    }
+    box = instance_to_doc(two_box_sapv)
+    iid = json.loads(Path(_iid3(tmp_path)).read_text())
+    jump = {"kind": "jump", "bids": iid["bids"], "thresholds": ["0", "1/2", "1/2", "1"]}
+    jumps = {"kind": "profile", "strategies": [jump] * 3}
+    apv_jump = {"kind": "jump", "bids": apv["bids"], "thresholds": ["0", "1/2", "1"]}
+    apv_jumps = {"kind": "profile", "strategies": [apv_jump] * 2}
+    sat, rmap = build_auction(SatFormula(2, [(1, -2)]))
+    red = map_to_doc(rmap)
+    encoded = profile_to_doc(encode_profile({1: 1, 2: 0}, rmap))
+    f = {}
+    for name, doc in [("apv", apv), ("pure", pure), ("sym3", SYM3), ("grouped", grouped),
+                      ("iid", iid), ("jump", jump), ("map", red), ("encoded", encoded),
+                      ("sat", instance_to_doc(sat))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        f[name] = str(path)
+    out, log = str(tmp_path / "out.json"), str(tmp_path / "run.log")
+    cases = [
+        (apv, ["validate", "--instance", "DOC"]),
+        (apv, ["marginal", "--instance", "DOC", "--bidder", "0"]),
+        (apv, ["verify", "--instance", "DOC", "--profile", f["pure"]]),
+        (apv, ["best-response", "--instance", "DOC", "--bidder", "0", "--value", "1/4",
+               "--profile", f["pure"]]),
+        (apv, ["solve-pure", "--instance", "DOC", "--budget", "200", "--log", log]),
+        (apv, ["lift", "--instance", "DOC", "--delta", "1/8", "--out", out]),
+        (apv, ["shrink", "--instance", "DOC", "--target", "2"]),
+        (apv, ["check-affiliation", "--instance", "DOC"]),
+        (pure, ["verify", "--instance", f["apv"], "--profile", "DOC"]),
+        (pure, ["utility", "--instance", f["apv"], "--bidder", "1", "--value", "3/4",
+                "--bid", "1/4", "--profile", "DOC"]),
+        (mixed, ["verify", "--instance", f["apv"], "--profile", "DOC"]),
+        (SYM3, ["solve-symmetric", "--instance", "DOC", "--budget", "200"]),
+        (SYM3, ["verify", "--instance", "DOC", "--profile", f["grouped"]]),
+        (grouped, ["verify", "--instance", f["sym3"], "--profile", "DOC"]),
+        (box, ["densify", "--instance", "DOC", "--grid", "4"]),
+        (box, ["jump-search", "--instance", "DOC", "--symmetric", "--mesh", "2",
+               "--budget", "200"]),
+        (box, ["check-affiliation", "--instance", "DOC"]),
+        (iid, ["densify", "--instance", "DOC", "--grid", "4"]),
+        (iid, ["jump-search", "--instance", "DOC", "--mesh", "2", "--budget", "200"]),
+        (iid, ["emit-plot", "--instance", "DOC", "--strategy", f["jump"], "--grid", "4"]),
+        (jump, ["emit-plot", "--instance", f["iid"], "--strategy", "DOC", "--grid", "4"]),
+        (jumps, ["verify", "--instance", f["iid"], "--profile", "DOC"]),
+        (apv_jumps, ["project", "--instance", f["apv"], "--profile", "DOC", "--delta", "1/8"]),
+        (red, ["encode", "--map", "DOC", "--assignment", "1,0"]),
+        (red, ["extract", "--map", "DOC", "--profile", f["encoded"]]),
+        (encoded, ["extract", "--map", f["map"], "--profile", "DOC"]),
+        (encoded, ["verify", "--instance", f["sat"], "--profile", "DOC"]),
+    ]
+    return tmp_path / "mutated.json", cases
+
+
+class TestErrorBoundary:
+    """Mutated input documents: each run ends in a documented exit code, a
+    failure with one JSON record on stderr, and no exception leaves main."""
+
+    @settings(
+        max_examples=1500,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_documents(self, capsys, fuzz_cases, data):
+        path, cases = fuzz_cases
+        doc, argv = data.draw(st.sampled_from(cases))
+        mutated = _mutated(doc, data.draw(st.sampled_from(list(_paths(doc)))),
+                           data.draw(st.sampled_from(MUTATIONS)))
+        path.write_text(json.dumps(mutated))
+        argv = [str(path) if a == "DOC" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        # the arguments always parse, so usage error 2 cannot occur
+        assert code in {EXIT_OK, EXIT_VERIFY_FAIL, EXIT_SEARCH_NONE, EXIT_VALIDATION,
+                        EXIT_PARSE, EXIT_IO}
+        if code in (EXIT_PARSE, EXIT_IO) or (code == EXIT_VALIDATION and argv[0] != "validate"):
+            _record(err)
+        else:
+            assert err == ""

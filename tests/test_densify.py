@@ -16,9 +16,6 @@ from fpaeq.densify import (
     bounds_profile,
     canonical_beta,
     densify_solve,
-    eval_beta_iid,
-    eval_beta_sapv,
-    lipschitz_bound,
     max_order_cdf,
 )
 from fpaeq.engine import verify_pbne
@@ -116,46 +113,51 @@ class TestMaxOrderCdf:
 
 class TestEvalBeta:
     def test_uniform_halves(self):
-        assert eval_beta_iid(UNIFORM, 2, F(1, 2)) == F(1, 4)
+        beta2, beta3 = (canonical_beta(grid_auction(UNIFORM, n)) for n in (2, 3))
+        assert beta2(F(1, 2)) == F(1, 4)
         for k in range(1, 11):
             v = F(k, 10)
-            assert eval_beta_iid(UNIFORM, 2, v) == v / 2
-            assert eval_beta_iid(UNIFORM, 3, v) == 2 * v / 3
+            assert beta2(v) == v / 2
+            assert beta3(v) == 2 * v / 3
 
     def test_left_end_returns_value(self, two_piece_marginal):
-        assert eval_beta_iid(two_piece_marginal, 2, ZERO) == ZERO
+        assert canonical_beta(grid_auction(two_piece_marginal, 2))(ZERO) == ZERO
         gapped = IIDMarginal([0, F(1, 4), 1], [0, F(4, 3)])
         assert gapped.support_left == F(1, 4)
-        assert eval_beta_iid(gapped, 2, F(1, 4)) == F(1, 4)
+        assert canonical_beta(grid_auction(gapped, 2))(F(1, 4)) == F(1, 4)
 
     def test_below_support_rejected(self):
         gapped = IIDMarginal([0, F(1, 4), 1], [0, F(4, 3)])
         with pytest.raises(ValueError):
-            eval_beta_iid(gapped, 2, F(1, 8))
+            canonical_beta(grid_auction(gapped, 2))(F(1, 8))
 
     def test_two_piece_against_quadrature(self, two_piece_marginal):
-        assert eval_beta_iid(two_piece_marginal, 2, F(3, 4)) == F(17, 56)
+        beta = canonical_beta(grid_auction(two_piece_marginal, 2))
+        assert beta(F(3, 4)) == F(17, 56)
         for x in (0.3, 0.55, 0.75, 0.95):
-            exact = float(eval_beta_iid(two_piece_marginal, 2, F(x).limit_denominator(64)))
+            exact = float(beta(F(x).limit_denominator(64)))
             quad = quad_beta_iid(two_piece_marginal, 2, float(F(x).limit_denominator(64)))
             assert abs(exact - quad) < 1e-12
 
     def test_constant_outside_support(self):
         # a zero-density hole: beta is flat across it
         m = IIDMarginal([0, F(1, 4), F(1, 2), 1], [2, 0, 1])
-        inside = eval_beta_iid(m, 2, F(1, 4))
+        beta = canonical_beta(grid_auction(m, 2))
+        inside = beta(F(1, 4))
         for x in (F(3, 10), F(2, 5), F(1, 2)):
-            assert eval_beta_iid(m, 2, x) == inside
-        assert eval_beta_iid(m, 2, F(3, 4)) > inside
+            assert beta(x) == inside
+        assert beta(F(3, 4)) > inside
 
     def test_sapv_zero_at_zero(self, two_box_sapv):
-        assert eval_beta_sapv(two_box_sapv.prior, ZERO) == ZERO
+        assert canonical_beta(two_box_sapv)(ZERO) == ZERO
 
     def test_sapv_single_box_equals_iid(self):
         prior = BoxDensity(3, [((0, 0, 0), (1, 1, 1), 1)], None)
+        sapv = canonical_beta(Auction(GRID100, prior))
+        iid = canonical_beta(grid_auction(UNIFORM, 3))
         for k in range(1, 10):
             x = F(k, 9)
-            assert eval_beta_sapv(prior, x) == eval_beta_iid(UNIFORM, 3, x)
+            assert sapv(x) == iid(x)
 
     def test_sapv_iid_paths_agree_exactly(self):
         rng = random.Random(5)
@@ -169,13 +171,14 @@ class TestEvalBeta:
             m = IIDMarginal(bps, dens)
             n = rng.randint(2, 3)
             boxes = BoxDensity(n, m.as_box_density(n).boxes, None)
+            iid, sapv = canonical_beta(grid_auction(m, n)), canonical_beta(Auction(GRID100, boxes))
             for _ in range(4):
                 x = F(rng.randint(1, 99), 100)
-                assert eval_beta_iid(m, n, x) == eval_beta_sapv(boxes, x)
+                assert iid(x) == sapv(x)
 
     def test_two_box_against_nested_quadrature(self, two_box_sapv):
         for x in (F(3, 10), F(3, 5), F(17, 20)):
-            exact = float(eval_beta_sapv(two_box_sapv.prior, x))
+            exact = float(canonical_beta(two_box_sapv)(x))
             quad = quad_beta_sapv(two_box_sapv.prior, float(x))
             assert abs(exact - quad) < 1e-10
 
@@ -191,25 +194,24 @@ class TestEvalBeta:
             2, [(lo, hi, w / total) for lo, hi, w in gappy.boxes], None
         )
         with pytest.raises(UnsupportedPrior):
-            eval_beta_sapv(gappy, F(3, 4))
+            canonical_beta(Auction(GRID100, gappy))(F(3, 4))
 
     def test_strictly_increasing_on_support(self, two_box_sapv, two_piece_marginal):
         probes = [F(k, 40) for k in range(1, 41)]
-        vals = [eval_beta_sapv(two_box_sapv.prior, x) for x in probes]
+        vals = [canonical_beta(two_box_sapv)(x) for x in probes]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        vals = [eval_beta_iid(two_piece_marginal, 2, x) for x in probes]
+        vals = [canonical_beta(grid_auction(two_piece_marginal, 2))(x) for x in probes]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_differential_equation_residual(self, two_box_sapv):
         # central difference of beta vs (v - beta(v)) g_v(v)/G_v(v): O(h)
         h = F(1, 4096)
         prior = two_box_sapv.prior
+        beta = canonical_beta(two_box_sapv)
         for v in (F(1, 4), F(3, 8), F(5, 8), F(7, 8)):
-            num = (
-                eval_beta_sapv(prior, v + h) - eval_beta_sapv(prior, v - h)
-            ) / (2 * h)
+            num = (beta(v + h) - beta(v - h)) / (2 * h)
             g = max_order_cdf(prior, v)
-            rhs = (v - eval_beta_sapv(prior, v)) * g.derivative()(v) / g(v)
+            rhs = (v - beta(v)) * g.derivative()(v) / g(v)
             assert abs(num - rhs) <= h
 
 
@@ -245,6 +247,7 @@ class TestAffiliationL:
         gamma = bounds_profile(
             Auction(BidSpace([0, F(1, 2)]), prior)
         ).gamma
+        beta = canonical_beta(two_box_sapv)
         probes = [F(k, 10) for k in range(11)]
         for v in (F(1, 5), F(7, 10)):
             g = max_order_cdf(prior, v)
@@ -253,7 +256,7 @@ class TestAffiliationL:
                     if v1 >= v2:
                         continue
                     p = g(v2) - g(v1)
-                    width = eval_beta_sapv(prior, v2) - eval_beta_sapv(prior, v1)
+                    width = beta(v2) - beta(v1)
                     assert p <= gamma * width
 
 
@@ -275,12 +278,12 @@ class TestBounds:
 
     def test_two_piece_lipschitz(self, two_piece_marginal):
         auc = grid_auction(two_piece_marginal, 2)
-        assert lipschitz_bound(auc) == 2 * 1 * 3  # n * (gap ratio) * (density ratio)
+        assert bounds_profile(auc).lipschitz == 2 * 1 * 3  # n * (gap ratio) * (density ratio)
 
     def test_zero_density_piece_allowed_for_iid(self):
         m = IIDMarginal([0, F(1, 4), F(1, 2), 1], [2, 0, 1])
         auc = grid_auction(m, 2)
-        assert lipschitz_bound(auc) == 2 * 2 * 2  # gaps 1/4 vs 1/2, p 2 vs 1
+        assert bounds_profile(auc).lipschitz == 2 * 2 * 2  # gaps 1/4 vs 1/2, p 2 vs 1
 
     def test_denseness_includes_gap_to_one(self):
         auc = Auction(BidSpace([0, F(1, 2)]), UNIFORM, n=2)
@@ -294,7 +297,7 @@ class TestApproxInvert:
         auc = grid_auction(UNIFORM, 2)
         eps = F(1, 10**6)
         s = approx_invert(auc, F(1, 4), eps)
-        b = eval_beta_iid(UNIFORM, 2, s)
+        b = canonical_beta(grid_auction(UNIFORM, 2))(s)
         assert F(1, 4) <= b <= F(1, 4) + 2 * eps
         assert abs(s - F(1, 2)) <= 4 * eps
 
@@ -361,7 +364,7 @@ class TestDensifySolve:
         assert cert.measured <= cert.claimed
         probes = [F(k, 16) for k in range(1, 17)]
         for v in probes:
-            b = eval_beta_sapv(two_box_sapv.prior, v)
+            b = canonical_beta(two_box_sapv)(v)
             bt = cert.strategy.bid_at(v)
             assert b - (cert.bounds.delta + 2 * cert.eps_inner) <= bt <= b
 
@@ -387,7 +390,7 @@ class TestDensifySolve:
         assert cert.measured <= cert.claimed
         for k in range(1, 20):
             v = F(k, 20)
-            b = eval_beta_iid(m, 2, v)
+            b = canonical_beta(grid_auction(m, 2))(v)
             assert b - (cert.bounds.delta + 2 * cert.eps_inner) <= cert.strategy.bid_at(v) <= b
 
     def test_nonpositive_eps_rejected_without_in_range_bid(self):

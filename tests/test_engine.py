@@ -64,6 +64,11 @@ def _pure(i, values, bids):
     return PureStrategy(i, dict(zip(values, bids)))
 
 
+def _as_mixed(strategy):
+    """A pure strategy as the mixed strategy that puts weight 1 on its bids."""
+    return MixedStrategy(strategy.bidder, [(v, [(b, 1)]) for v, b in strategy.mapping])
+
+
 class TestWinProb:
     def test_unopposed_positive_bid_wins(self):
         prior = DiscretePrior(2, [(F(1, 2),), (F(1, 4),)], [((F(1, 2), F(1, 4)), 1)])
@@ -341,13 +346,13 @@ class TestVerify:
         assert any(v.best_bid == F(1, 10) for v in report.violations)
 
     def test_exact_pbne_as_degenerate_mixed(self, prop34, prop34_nonmonotone):
-        mixed = Profile([s.as_mixed() for s in prop34_nonmonotone.strategies])
+        mixed = Profile([_as_mixed(s) for s in prop34_nonmonotone.strategies])
         report = verify_mbne(prop34, mixed, 0)
         assert report.ok
 
     def test_mixed_profile_needs_verify_mbne(self, prop34, prop34_nonmonotone):
         pure = prop34_nonmonotone.strategies
-        mixed = Profile([pure[0].as_mixed(), pure[1]])
+        mixed = Profile([_as_mixed(pure[0]), pure[1]])
         for check in (verify_pbne, is_pbne):
             with pytest.raises(TypeError, match="verify_mbne"):
                 check(prop34, mixed, 0)

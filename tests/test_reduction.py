@@ -32,7 +32,6 @@ from fpaeq.reduction import (
     build_auction,
     chain_from_doc,
     chain_to_doc,
-    default_deltas,
     encode_profile,
     extract_assignment,
     half_bound_chain,
@@ -346,13 +345,13 @@ class TestDeltaChain:
 
     def test_default_deltas_positive_threshold(self):
         f = parse_sat("1 2 0\n-1 2 -3 0\n")
-        chain = default_deltas(f)
+        chain = build_auction(f)[1].chain
         assert chain.eps_threshold > 0
         assert all(e >= chain.eps_threshold for e in chain.lemma_epsilons(chain.total))
 
     def test_chain_doc_round_trip(self):
         f = parse_sat("1 2 0\n")
-        chain = default_deltas(f)
+        chain = build_auction(f)[1].chain
         assert chain_from_doc(chain_to_doc(chain)) == chain
 
 
