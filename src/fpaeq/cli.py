@@ -11,7 +11,8 @@ strings (decimals are rejected to avoid silent precision loss).  Exit codes:
     13  parse or format error
     14  I/O error
 
-Failures also emit one machine-readable JSON record on stderr.
+Failures also emit one machine-readable JSON record on stderr, except that
+a failed verdict of validate, verify or check-affiliation is its stdout report.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ each orbit: seats that are exchangeable under the prior (those of an iid prior,
 of a permutation-symmetric box list or of one group) and play equal strategies.
 Its records are compared once and reported for every seat of the orbit, in seat
 order.  A per-group profile on a grouped prior reports under each group's first
-seat only, in the prior's group order.  ``verify_pbne`` runs the loop to the
-end and ``is_pbne`` stops at the first violation.  The search runs it per
-bidder against games it shares between candidates with the same opponents.
+seat only, in the prior's group order.  A per-seat search looks candidates
+up in gain tables built from the same vectors instead (see :mod:`fpaeq.search`);
+a group-symmetric search runs the loop once per candidate.
 
 Utilities come in two normalizations:
 
@@ -455,10 +455,8 @@ def check_affiliation(prior) -> tuple[bool, tuple | None]:
 
 def _cfpa_cells(axis_cuts: Sequence[Fraction], own: JumpStrategy):
     """Open intervals of constant conditional and constant own bid."""
-    cuts = set(axis_cuts)
-    cuts.update(own.thresholds)
-    cuts = sorted(cuts)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    cuts = sorted(set(axis_cuts).union(own.thresholds))
+    return list(zip(cuts, cuts[1:]))
 
 
 def bidder_deviations(auction: Auction, game: _Game, i: int, strategy):
@@ -539,11 +537,9 @@ def _deviations(auction: Auction, profile: Profile):
         yield seats, bidder_deviations(auction, game, seats[0], profile.for_bidder(seats[0]))
 
 
-def _verify(
-    auction: Auction, profile: Profile, eps: Fraction, first: bool = False
-) -> VerificationReport:
-    """Run the deviation loop; ``first`` stops at the first violation.  Each
-    record is compared once and reported for each seat of its orbit, seat-major."""
+def _verify(auction: Auction, profile: Profile, eps: Fraction) -> VerificationReport:
+    """Run the deviation loop of every orbit.  Each record is compared once
+    and reported for each seat of its orbit, seat-major."""
     max_gain = ZERO
     violations = []
     replayed = False  # some orbit holds two seats
@@ -553,12 +549,8 @@ def _verify(
             max_gain = max(max_gain, record[-1])
             if record[-1] > eps:
                 bad.append(record[1:])
-                if first:
-                    break
         violations += [Violation(i, *r) for i in seats for r in bad]
         replayed |= len(seats) > 1
-        if first and bad:
-            break
     if replayed:  # orbits interleave, as groups ((0, 2), (1,)) do
         violations.sort(key=lambda x: x.bidder)
     return VerificationReport(
@@ -582,11 +574,6 @@ def verify_pbne(auction: Auction, profile: Profile, eps) -> VerificationReport:
     exact).
     """
     return _verify(auction, _pure(profile), rat(eps))
-
-
-def is_pbne(auction: Auction, profile: Profile, eps) -> bool:
-    """``verify_pbne(...).ok``, stopping at the first violation."""
-    return _verify(auction, _pure(profile), rat(eps), first=True).ok
 
 
 def verify_mbne(auction: Auction, profile: Profile, eps) -> VerificationReport:

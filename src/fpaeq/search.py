@@ -8,14 +8,14 @@ not affect utilities; they are pinned to the last in-support bid (0 before
 the first) instead of being enumerated, which keeps emitted profiles monotone
 and non-overbidding whenever the enumerated part is.
 
-Candidates are checked against per-bidder deviation tables.  Bidder i's win
+Candidates are checked against per-bidder gain tables.  Bidder i's win
 masses depend only on the other seats, so each bidder keeps one table per
 key, the tuple of the other seats' choice indices, shared by every candidate
-with those opponents: on DFPA the deviation gain of every (support value,
-bid), on CFPA the engine's game with its bid table and H memo.  A walk over
-C_0 x ... x C_{n-1} builds at most sum_i prod_{j != i} |C_j| tables, which is
-|C_0| + |C_1| for two bidders; group-symmetric searches, where every seat
-reads its own group's strategy too, build one game per candidate.
+with those opponents; a candidate reads one entry per support value on DFPA
+and per cell end on CFPA (see ``_table``).  A walk over C_0 x ... x C_{n-1}
+builds at most sum_i prod_{j != i} |C_j| tables, which is |C_0| + |C_1| for
+two bidders; group-symmetric searches, where every seat reads its own
+group's strategy too, run the verifier on one game per candidate.
 """
 
 from __future__ import annotations
@@ -133,26 +133,38 @@ def _walk(
     """First eps-PBNE in the lexicographic product of ``choices`` (one list
     per seat), or an exhaustive "none".  ``make(seat, choice)`` builds a
     seat's strategy, once per choice; DFPA choices are bid tuples aligned
-    with the bidder's support values.  The tables are the module
-    docstring's; on CFPA bidder i's cells still follow its own thresholds.
+    with the bidder's support values.  The tables are the module docstring's.
     A logged candidate takes the max over all gains and writes one line;
     otherwise the check stops at the first gain above eps.
     """
     count = math.prod(len(ch) for ch in choices)
     if count > cfg.budget:
         raise BudgetExceeded(count, cfg.budget)
+    prior, nbids = auction.prior, len(auction.bids)
     position = {b: k for k, b in enumerate(auction.bids)}
+    seats = range(len(choices) if groups is None else 0)  # per-seat walks keep tables
+    if auction.is_discrete:
+        points = [support_values(prior, s) for s in seats]
+    else:
+        points = [sorted(set(prior.axis_breakpoints(s)).union(*choices[s])) for s in seats]
     built: list[dict] = [{} for _ in choices]
     tables: list[dict] = [{} for _ in choices]
 
     def seat(s: int, c: int):
-        """Seat s's strategy for choice c and, on DFPA, its cells in a table."""
+        """Seat s's strategy for choice c and, on a per-seat walk, its cells:
+        flat indices (row, own bid) into its bidder's tables."""
         if c not in built[s]:
             choice = choices[s][c]
-            cells = None
-            if auction.is_discrete and groups is None:
-                cells = [k * len(position) + position[b] for k, b in enumerate(choice)]
-            built[s][c] = make(s, choice), cells
+            own, cells = make(s, choice), None
+            if groups is None and auction.is_discrete:
+                cells = [k * nbids + position[b] for k, b in enumerate(choice)]
+            elif groups is None:
+                row = {p: 2 * j for j, p in enumerate(points[s])}
+                cells = []
+                for lo, hi in engine._cfpa_cells(prior.axis_breakpoints(s), own):
+                    k = position[own.bid_at(Fraction(lo + hi, 2))]
+                    cells += [row[lo] * nbids + k, (row[hi] - 1) * nbids + k]
+            built[s][c] = own, cells
         return built[s][c]
 
     def gains(idx: tuple, profile: Profile):
@@ -163,14 +175,8 @@ def _walk(
         for i, c in enumerate(idx):
             key = idx[:i] + idx[i + 1 :]
             if key not in tables[i]:
-                tables[i][key] = _table(auction, profile, i)
-            table = tables[i][key]
-            own, cells = seat(i, c)
-            if cells is not None:
-                yield from map(table.__getitem__, cells)
-                continue
-            for record in engine.bidder_deviations(auction, table, i, own):
-                yield record[-1]
+                tables[i][key] = _table(auction, profile, i, points[i])
+            yield from map(tables[i][key].__getitem__, seat(i, c)[1])
 
     checked = 0
     for idx in itertools.product(*(range(len(ch)) for ch in choices)):
@@ -188,15 +194,21 @@ def _walk(
     return SearchResult("none", None, checked)
 
 
-def _table(auction: Auction, profile: Profile, i: int):
-    """Bidder i's table against the profile's other seats: on DFPA the gains
-    of every (support value, bid), value-major; on CFPA the game."""
+def _table(auction: Auction, profile: Profile, i: int, points: Sequence[Fraction]):
+    """Bidder i's gains top - u_b against the profile's other seats, flat over
+    (row, bid).  DFPA: a row per support value in ``points``.  CFPA: rows 2j
+    and 2j+1 are the ends of (points[j], points[j+1]) under that interval's
+    H, zero where f_i = 0; at a cell end, the verifier's largest record is
+    the entry of the bid played there."""
     game = engine._Game(auction, profile)
-    if not auction.is_discrete:
-        return game
+    if auction.is_discrete:
+        ends = [(v, v) for v in points]
+    else:
+        ends = [(v, (a + b) / 2) for a, b in zip(points, points[1:]) for v in (a, b)]
     gains = []
-    for v in support_values(auction.prior, i):
-        us = [(v - b) * h for b, h in zip(game.bids, game.vector(i, v)[1])]
+    for v, inside in ends:
+        H = game.vector(i, inside)[1] or [ZERO] * len(game.bids)
+        us = [(v - b) * h for b, h in zip(game.bids, H)]
         top = max(us)
         gains.extend(top - u for u in us)
     return gains

@@ -47,7 +47,9 @@ def _interner():
 
 
 def _take(doc: dict, fields: dict[str, bool], kind: str) -> dict[str, Any]:
-    """Pop known fields (name -> required); reject anything left over."""
+    """Pop known fields (name -> required) of an object; reject the rest."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{kind} must be a JSON object, got {doc!r}")
     doc = dict(doc)
     out = {}
     for name, required in fields.items():
@@ -119,11 +121,17 @@ def instance_to_doc(auction: Auction) -> dict:
     raise TypeError(f"unsupported prior {type(prior).__name__}")
 
 
-def _count(n, kind: str) -> int:
-    """A bidder count: a JSON integer, not a string or a boolean."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise FormatError(f"{kind}: n must be a JSON integer, got {n!r}")
-    return n
+def _integer(x, what: str) -> int:
+    """A bidder count or seat: a JSON integer, not a string, float or boolean."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise FormatError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
+def _groups(groups, kind: str):
+    """Seat groups whose members are JSON integers, or None."""
+    member = f"{kind}: group member"
+    return None if groups is None else [tuple(_integer(i, member) for i in g) for g in groups]
 
 
 def instance_from_doc(doc: dict) -> Auction:
@@ -144,7 +152,7 @@ def instance_from_doc(doc: dict) -> Auction:
             {"bids": True, "groups": True, "group_values": True, "support": True},
             kind,
         )
-        groups = [tuple(map(int, g)) for g in f["groups"]]
+        groups = _groups(f["groups"], kind)
         if len(f["group_values"]) != len(groups):
             raise FormatError(f"{kind}: one group_values entry required per group")
         space_of = {}  # bidder -> its group's one value space
@@ -166,15 +174,14 @@ def instance_from_doc(doc: dict) -> Auction:
             boxes.append(
                 ([rat(a) for a in e["lo"]], [rat(b) for b in e["hi"]], rat(e["weight"]))
             )
-        groups = None if f["groups"] is None else [tuple(g) for g in f["groups"]]
-        prior = BoxDensity(_count(f["n"], kind), boxes, groups)
+        prior = BoxDensity(_integer(f["n"], f"{kind}: n"), boxes, _groups(f["groups"], kind))
         return Auction(BidSpace(map(rat, f["bids"])), prior)
     if kind == "cfpa-iid":
         f = _take(doc, {"bids": True, "n": True, "breakpoints": True, "densities": True}, kind)
         prior = IIDMarginal(
             [rat(a) for a in f["breakpoints"]], [rat(p) for p in f["densities"]]
         )
-        return Auction(BidSpace(map(rat, f["bids"])), prior, n=_count(f["n"], kind))
+        return Auction(BidSpace(map(rat, f["bids"])), prior, n=_integer(f["n"], f"{kind}: n"))
     raise FormatError(f"unknown instance kind {kind!r}")
 
 
@@ -228,7 +235,7 @@ def _strategy_from_doc(doc: dict, rat):
         for entry in f["assignments"]:
             e = _take(entry, {"value": True, "bid": True}, "pure assignment")
             mapping.append((rat(e["value"]), rat(e["bid"])))
-        return PureStrategy(int(f["bidder"]), mapping)
+        return PureStrategy(_integer(f["bidder"], f"{kind}: bidder"), mapping)
     if kind == "mixed":
         f = _take(doc, {"bidder": True, "rows": True}, kind)
         table = []
@@ -239,7 +246,7 @@ def _strategy_from_doc(doc: dict, rat):
                 c = _take(cell, {"bid": True, "weight": True}, "mixed cell")
                 dist.append((rat(c["bid"]), rat(c["weight"])))
             table.append((rat(e["value"]), dist))
-        return MixedStrategy(int(f["bidder"]), table)
+        return MixedStrategy(_integer(f["bidder"], f"{kind}: bidder"), table)
     if kind == "jump":
         f = _take(doc, {"bids": True, "thresholds": True}, kind)
         return JumpStrategy(
@@ -264,8 +271,7 @@ def profile_from_doc(doc: dict) -> Profile:
     f = _take(doc, {"strategies": True, "groups": False}, "profile")
     rat = _interner()
     strategies = [_strategy_from_doc(s, rat) for s in f["strategies"]]
-    groups = None if f["groups"] is None else [tuple(g) for g in f["groups"]]
-    return Profile(strategies, groups)
+    return Profile(strategies, _groups(f["groups"], "profile"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from fpaeq.cli import (
 from fpaeq.model import (
     Auction,
     BidSpace,
+    DiscretePrior,
     IIDMarginal,
     JumpStrategy,
     MixedStrategy,
@@ -136,6 +137,32 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY_FAIL
         assert json.loads(out)["violations"]
+
+
+class TestVerdictReports:
+    """A failed verdict of validate (12), verify (10) or check-affiliation
+    (10) is its report on stdout; nothing goes to stderr."""
+
+    def test_report_is_the_record(self, capsys, files, prop34):
+        d, inst, _ = files
+        bad = instance_to_doc(prop34)
+        bad["support"][0]["mass"] = "1/2"
+        (d / "bad.json").write_text(dumps(bad))
+        zeros = Profile([PureStrategy(i, {F(0): 0, F(1, 2): 0, F(1): 0}) for i in range(2)])
+        save_profile(zeros, str(d / "zeros.json"))
+        lo, hi = F(1, 4), F(3, 4)
+        anti = DiscretePrior(2, [(lo, hi)] * 2, [((lo, hi), F(1, 2)), ((hi, lo), F(1, 2))])
+        save_instance(Auction(BidSpace([0]), anti), str(d / "anti.json"))
+        cases = [
+            (["validate", "--instance", d / "bad.json"], EXIT_VALIDATION, "violations"),
+            (["verify", "--instance", inst, "--profile", d / "zeros.json"], EXIT_VERIFY_FAIL,
+             "violations"),
+            (["check-affiliation", "--instance", d / "anti.json"], EXIT_VERIFY_FAIL, "witness"),
+        ]
+        for argv, expected, key in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (expected, "")
+            assert json.loads(out)[key]
 
 
 class TestProfileValidation:
@@ -568,6 +595,50 @@ class TestBoundaryValidation:
         assert "n must be a JSON integer" in json.loads(err)["detail"]
 
 
+class TestJsonTypes:
+    """An entry that is not a JSON object, and a bidder or group member that
+    is not a JSON integer, are format errors (exit 13), never coerced."""
+
+    def _parse_error(self, capsys, *argv) -> str:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        return _record(err)["detail"]
+
+    def test_entry_given_as_key_value_pairs(self, capsys, tmp_path, apv_fixture):
+        doc = instance_to_doc(apv_fixture)
+        doc["support"][0] = [[key, value] for key, value in doc["support"][0].items()]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        detail = self._parse_error(capsys, "validate", "--instance", path)
+        assert "dfpa support entry must be a JSON object" in detail
+
+    @pytest.mark.parametrize("bidders", [(0.9, "1"), (0.9, 1), (0, "1"), (False, 1)])
+    def test_bidder_must_be_a_json_integer(self, capsys, files, prop34_nonmonotone, bidders):
+        d, inst, _ = files
+        doc = profile_to_doc(prop34_nonmonotone)
+        for strategy, bidder in zip(doc["strategies"], bidders):
+            strategy["bidder"] = bidder
+        path = d / "seats.json"
+        path.write_text(json.dumps(doc))
+        detail = self._parse_error(capsys, "verify", "--instance", inst, "--profile", path)
+        assert "bidder must be a JSON integer" in detail
+
+    @pytest.mark.parametrize("member", ["1", 1.0, True])
+    @pytest.mark.parametrize("kind", ["dfpa-sym", "cfpa-box", "profile"])
+    def test_group_member_must_be_a_json_integer(self, capsys, tmp_path, two_box_sapv, kind,
+                                                 member):
+        inst, prof = tmp_path / "inst.json", tmp_path / "prof.json"
+        instance = instance_to_doc(two_box_sapv) if kind == "cfpa-box" else copy.deepcopy(SYM3)
+        profile = {"kind": "profile", "groups": [[0, 1], [2]], "strategies": [
+            _pure(0, [("1/4", "0"), ("3/4", "0")]), _pure(2, [("1/2", "0"), ("1", "0")])]}
+        (profile if kind == "profile" else instance)["groups"][0][1] = member
+        inst.write_text(json.dumps(instance))
+        prof.write_text(json.dumps(profile))
+        argv = ["verify", "--profile", prof] if kind == "profile" else ["validate"]
+        detail = self._parse_error(capsys, *argv, "--instance", inst)
+        assert "group member must be a JSON integer" in detail
+
+
 class TestMapDocuments:
     """A --map file that is not a whole reduction-map object exits 13 with
     the parse error, on both verbs that read one."""
@@ -743,14 +814,12 @@ class TestDeterminism:
         second = run(capsys, "verify", "--instance", inst, "--profile", prof)
         assert first == second
 
-    def test_thread_count_does_not_change_output(
-        self, capsys, files, monkeypatch
-    ):
+    def test_search_in_between_does_not_change_output(self, capsys, files):
         _, inst, prof = files
-        single = run(capsys, "verify", "--instance", inst, "--profile", prof)
-        monkeypatch.setenv("FPAEQ_THREADS", "4")
-        threaded = run(capsys, "verify", "--instance", inst, "--profile", prof)
-        assert single == threaded
+        first = run(capsys, "verify", "--instance", inst, "--profile", prof)
+        assert run(capsys, "solve-pure", "--instance", inst, "--monotone")[0] == EXIT_SEARCH_NONE
+        second = run(capsys, "verify", "--instance", inst, "--profile", prof)
+        assert first == second
 
     def test_reused_parser_keeps_no_state(self, capsys, files):
         _, inst, prof = files

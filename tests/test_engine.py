@@ -16,7 +16,6 @@ from fpaeq.engine import (
     best_response,
     check_affiliation,
     check_monotone,
-    is_pbne,
     tie_dp,
     utility,
     verify_mbne,
@@ -353,9 +352,8 @@ class TestVerify:
     def test_mixed_profile_needs_verify_mbne(self, prop34, prop34_nonmonotone):
         pure = prop34_nonmonotone.strategies
         mixed = Profile([_as_mixed(pure[0]), pure[1]])
-        for check in (verify_pbne, is_pbne):
-            with pytest.raises(TypeError, match="verify_mbne"):
-                check(prop34, mixed, 0)
+        with pytest.raises(TypeError, match="verify_mbne"):
+            verify_pbne(prop34, mixed, 0)
         assert verify_mbne(prop34, mixed, 0) == verify_pbne(prop34, prop34_nonmonotone, 0)
 
     def test_dominated_mixing_reports_exact_gap(self, prop34):
@@ -619,8 +617,6 @@ class TestKernelProperties:
                     assert utility(auc, i, v, b, profile) == enum_utility_dfpa(
                         auc, i, v, b, profile
                     )
-        if all(isinstance(s, PureStrategy) for s in profile.strategies):
-            assert is_pbne(auc, profile, 0) == verify_pbne(auc, profile, 0).ok
 
     @KERNEL_SETTINGS
     @given(
@@ -641,7 +637,6 @@ class TestKernelProperties:
                     assert utility(auc, i, v, b, profile) == rect_utility_cfpa(
                         auc, i, v, b, profile
                     )
-        assert is_pbne(auc, profile, 0) == verify_pbne(auc, profile, 0).ok
 
     def test_shortcuts_match_dp(self):
         # at bid 1/4 opponent 1 is surely below, 2 surely ties and 3 splits;
@@ -713,7 +708,7 @@ class TestIIDFolding:
         auc, oracle, profile = _iid_case(rng, n, seats)
         assert verify_pbne(auc, profile, 0) == verify_pbne(oracle, profile, 0)
         eps = F(rng.randint(0, 4), 16)
-        assert is_pbne(auc, profile, eps) == is_pbne(oracle, profile, eps)
+        assert verify_pbne(auc, profile, eps).ok == verify_pbne(oracle, profile, eps).ok
         randoms = {F(rng.randint(0, 64), 64) for _ in range(3)}
         for v in sorted(set(auc.prior.breakpoints) | randoms):
             i = rng.randrange(n)
@@ -948,8 +943,6 @@ class TestOrbits:
         auc, profile = _orbit_case(rng, kind, mixed)
         report = (verify_mbne if mixed else verify_pbne)(auc, profile, eps)
         assert report == per_seat_report(auc, profile, eps)
-        if not mixed:
-            assert is_pbne(auc, profile, eps) == report.ok
 
     def test_interleaved_orbit_reports_seat_major(self):
         # groups {0, 2} and {1} under one strategy: orbits [0, 2] and [1], whose
@@ -1034,5 +1027,3 @@ class TestPerGroupReport:
         report = (verify_mbne if mixed else verify_pbne)(auc, profile, eps)
         assert report == VerificationReport(full.ok, eps, full.max_gain, kept)
         assert full.ok == (not kept)
-        if not mixed:
-            assert is_pbne(auc, profile, eps) == report.ok

@@ -13,6 +13,7 @@ from fpaeq.model import (
     BidSpace,
     BoxDensity,
     DiscretePrior,
+    IIDMarginal,
     Profile,
     PureStrategy,
 )
@@ -298,6 +299,25 @@ class TestJumpGridSearch:
             )
         assert exc.value.count == per_bidder**2
 
+    def test_per_seat_jump_search_reads_only_tables(self, uniform_box2, monkeypatch):
+        """A per-seat candidate is looked up in its bidders' gain tables and
+        never runs the verifier's deviation loop; a symmetric one does."""
+        calls = []
+        deviations = engine.bidder_deviations
+
+        def counting(*args):
+            calls.append(1)
+            return deviations(*args)
+
+        monkeypatch.setattr(engine, "bidder_deviations", counting)
+        auc = Auction(BidSpace([0, F(1, 4), F(1, 2)]), uniform_box2.prior)
+        grid = default_jump_grid(auc, mesh=4)
+        per_seat = jump_grid_search(auc, SearchConfig(eps=F(1, 20)), grid=grid)
+        assert per_seat.checked > 1 and not calls
+        grouped = Auction(auc.bids, BoxDensity(2, auc.prior.boxes, [(0, 1)]))
+        jump_grid_search(grouped, SearchConfig(eps=F(1, 20), symmetric=True), grid=grid)
+        assert calls
+
 
 SEARCH_SETTINGS = settings(
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -320,6 +340,30 @@ def _same_as_reference(auc, cfg, kind, grid=None):
     assert log.getvalue() == ref_log.getvalue()
 
 
+def _iid_gap(rng) -> Auction:
+    """Two iid bidders on a marginal over eighths with one zero-density piece."""
+    bps = [F(0)] + sorted(rng.sample([F(k, 8) for k in range(1, 8)], rng.randint(2, 3))) + [F(1)]
+    weights = [rng.randint(1, 3) for _ in bps[1:]]
+    weights[rng.randrange(len(weights))] = 0
+    total = sum((b - a) * w for a, b, w in zip(bps, bps[1:], weights))
+    bids = [F(0)] + sorted(rng.sample([F(j, 16) for j in range(1, 17)], 2))
+    return Auction(BidSpace(bids), IIDMarginal(bps, [w / total for w in weights]), 2)
+
+
+def _two_box(rng, grouped: bool) -> Auction:
+    """Two random boxes on eighths, listed asymmetrically; ``grouped`` makes
+    the prior stand for their images under swapping the two seats.  The
+    union rarely covers the square, so marginals have zero-density pieces."""
+    boxes = []
+    for _ in range(2):
+        edges = [sorted(rng.sample([F(k, 8) for k in range(9)], 2)) for _ in range(2)]
+        boxes.append((tuple(e[0] for e in edges), tuple(e[1] for e in edges), rng.randint(1, 3)))
+    prior = BoxDensity(2, boxes, [(0, 1)] if grouped else None)
+    prior = BoxDensity(2, [(lo, hi, w / prior.total_mass) for lo, hi, w in boxes], prior.groups)
+    bids = [F(0)] + sorted(rng.sample([F(j, 16) for j in range(1, 17)], 2))
+    return Auction(BidSpace(bids), prior)
+
+
 class TestMatchesReference:
     @SEARCH_SETTINGS
     @given(
@@ -336,15 +380,27 @@ class TestMatchesReference:
         cfg = SearchConfig(eps=eps, monotone_only=monotone)
         _same_as_reference(auc, cfg, "symmetric" if kind == "symmetric" else "pure")
 
-    @SEARCH_SETTINGS
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(
         rng=st.randoms(use_true_random=False),
+        kind=st.sampled_from(["nested-cube", "iid-gap", "two-box"]),
         symmetric=st.booleans(),
         eps=st.sampled_from([ZERO, F(1, 20)]),
     )
-    def test_jump(self, rng, symmetric, eps):
-        auc = nested_cube_sapv(rng)
-        auc = Auction(BidSpace(list(auc.bids)[: rng.randint(2, 3)]), auc.prior)
+    def test_jump(self, rng, kind, symmetric, eps):
+        """Per-seat and symmetric, on full support, on an iid marginal with a
+        zero-density piece and on two boxes listed asymmetrically (grouped
+        when symmetric), with grids that leave out some axis cuts."""
+        if kind == "two-box":
+            auc = _two_box(rng, grouped=symmetric)
+        else:
+            auc = (nested_cube_sapv if kind == "nested-cube" else _iid_gap)(rng)
+        auc = Auction(BidSpace(list(auc.bids)[: rng.randint(2, 3)]), auc.prior, auc.n)
         grid = sorted(rng.sample([F(k, 8) for k in range(9)], 3))
         _same_as_reference(auc, SearchConfig(eps=eps, symmetric=symmetric), "jump", grid)
 
